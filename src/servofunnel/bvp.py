@@ -178,8 +178,6 @@ class _Transcription:
 
     def __init__(self, model, ref, sel, grid):
         dims = model.dims
-        if dims.nonholonomic:
-            raise ValueError("collocation supports holonomic systems only")
         self.model = model
         self.sel = sel
         self.grid = np.asarray(grid, dtype=float)
@@ -260,15 +258,6 @@ class _Transcription:
                 rows = np.arange(r_lo, r_hi)
                 ab[upper + rows - c, c] = diff[rows] / steps[c]
         return ab
-
-
-def assemble_residual(model, ref, sel, grid, z):
-    """Residual of the collocation system for stacked unknowns ``z``."""
-    z = np.asarray(z, dtype=float).ravel()
-    trans = _Transcription(model, ref, sel, grid)
-    if z.size != trans.size:
-        raise ValueError(f"expected {trans.size} unknowns, got {z.size}")
-    return trans.residual(z)
 
 
 def _normal_banded(ab, res, lower, upper):

@@ -22,7 +22,7 @@ class ComplexOrRepeatedSpectrum(ServoFunnelError):
 
 
 class NonFiniteEvaluation(ServoFunnelError):
-    """A user callable returned NaN or infinity during differentiation."""
+    """NaN or infinity reached a derivative or a linear solve."""
 
 
 class InfeasibleGeometry(ServoFunnelError):

@@ -9,10 +9,9 @@ funnel boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from . import robot as robot_mod
@@ -22,9 +21,6 @@ from .internal import psi
 #: Denominator floor applied instead of raising when ``control`` runs in
 #: non-strict mode (trial integrator stages may overshoot the boundary).
 GAIN_DENOMINATOR_FLOOR = 1e-12
-
-#: Step bound for the quadrature inside ``eta2_ref_init``.
-QUADRATURE_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -70,18 +66,13 @@ class FunnelFunction:
         return tuple(out)
 
 
-def funnel_eval(f, t):
-    """Value and first two analytic derivatives of a funnel function."""
-    return f.derivatives(t, order=2)
-
-
 @dataclass(frozen=True)
 class FunnelDesign:
     """Funnel functions and gains for the two error chains.
 
     ``phi0``/``kappa0`` act on the base errors of both chains, ``phi1``/
     ``kappa1`` on the once-lifted internal-chain error, and ``phi2``/
-    ``kappa2`` on the bundled top-level error (``kappabar = kappa2``).
+    ``kappa2`` on the bundled top-level error.
     """
 
     phi0: FunnelFunction
@@ -94,14 +85,6 @@ class FunnelDesign:
     def __post_init__(self):
         if min(self.kappa0, self.kappa1, self.kappa2) <= 0.0:
             raise ValueError("funnel gains must be positive")
-
-    @property
-    def kappabar(self):
-        return self.kappa2
-
-    @property
-    def phi(self):
-        return self.phi2
 
     @classmethod
     def table_defaults(cls):
@@ -168,40 +151,8 @@ class ReferenceSignal:
         return y, ydot, yddot
 
 
-def reference(t, params):
-    """Default tool-tip reference for the robot, see ``ReferenceSignal``."""
-    return ReferenceSignal(params)(t)
-
-
 def _reference_output(ref, t):
-    out = ref(t)
-    if isinstance(out, tuple):
-        return np.asarray(out[0], dtype=float)
-    return np.asarray(out, dtype=float)
-
-
-def eta2_ref_init(lin, ref, settle_time=None):
-    """Initial value keeping the unstable reference coordinate bounded.
-
-    Evaluates ``-integral_0^inf exp(-mu t) ptilde y_ref(t) dt`` for the
-    unstable rate ``mu``: composite Simpson quadrature up to the settling
-    time of the reference, plus the exact tail for the constant remainder.
-    ``settle_time`` defaults to the signal's ``t_end``.
-    """
-    mu = lin.qtilde
-    if settle_time is None:
-        settle_time = getattr(ref, "t_end", 0.0)
-    settle_time = float(settle_time)
-    integral = 0.0
-    if settle_time > 0.0:
-        steps = int(np.ceil(settle_time / QUADRATURE_STEP))
-        steps += steps % 2
-        s = np.linspace(0.0, settle_time, steps + 1)
-        vals = np.exp(-mu * s) * (_reference_output(ref, s) @ lin.ptilde)
-        integral = simpson(vals, x=s)
-    tail = np.exp(-mu * settle_time) \
-        * float(lin.ptilde @ _reference_output(ref, settle_time)) / mu
-    return float(-integral - tail)
+    return np.asarray(ref(t)[0], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -214,12 +165,6 @@ class ControllerState:
     def __post_init__(self):
         if not (np.isfinite(self.eta2_ref) and np.isfinite(self.eta2_ref0)):
             raise ValueError("controller state must be finite")
-
-
-def initial_controller_state(lin, ref, settle_time=None):
-    """Controller state seeded by ``eta2_ref_init``."""
-    value = eta2_ref_init(lin, ref, settle_time=settle_time)
-    return ControllerState(eta2_ref=value, eta2_ref0=value)
 
 
 def reference_internal(lin, ref, grid_step=1e-3):
@@ -268,26 +213,6 @@ def reference_internal(lin, ref, grid_step=1e-3):
         return np.where(t < 0.0, before, np.where(t >= t_end, tail_value, inside))
 
     return evaluate
-
-
-def step_reference_dynamics(state, lin, ref, t, dt):
-    """Advance the unstable reference coordinate by one explicit step.
-
-    Classic fourth-order step of ``d/dt eta = qtilde eta + ptilde y_ref``,
-    sampling the reference at the stage times.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-
-    def rate(time, value):
-        return lin.qtilde * value + float(lin.ptilde @ _reference_output(ref, time))
-
-    x = state.eta2_ref
-    k1 = rate(t, x)
-    k2 = rate(t + 0.5 * dt, x + 0.5 * dt * k1)
-    k3 = rate(t + 0.5 * dt, x + 0.5 * dt * k2)
-    k4 = rate(t + dt, x + dt * k3)
-    return replace(state, eta2_ref=x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 @dataclass
@@ -381,7 +306,7 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     ebar = np.array([e12, e21])
     ebar_norm = float(np.linalg.norm(ebar))
     margin_ebar = _guard(1.0 - phi2 ** 2 * ebar_norm ** 2, "ebar", t, strict)
-    kbar = design.kappabar / margin_ebar
+    kbar = design.kappa2 / margin_ebar
     u_fb = -lin.rho * kbar * ebar
 
     diag = ControlDiagnostics(

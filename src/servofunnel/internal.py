@@ -41,8 +41,8 @@ DENOMINATOR_TOL = 1e-9
 class HighGainAssembly:
     """High-gain matrix with its constraint Gram block and Schur complement.
 
-    ``gamma`` is ``[J; G; H] M^-1 [J^T G^T B]``, ``gram`` its upper-left
-    constraint block ``[J; G] M^-1 [J^T G^T]`` and ``schur`` the Schur
+    ``gamma`` is ``[G; H] M^-1 [G^T B]``, ``gram`` its upper-left
+    constraint block ``G M^-1 G^T`` and ``schur`` the Schur
     complement of ``gram`` in ``gamma`` (the input-to-output-acceleration
     gain on the constraint manifold).
     """
@@ -50,21 +50,6 @@ class HighGainAssembly:
     gamma: np.ndarray
     gram: np.ndarray
     schur: np.ndarray
-
-
-@dataclass(frozen=True)
-class InternalState:
-    """Internal coordinates: arm joint angle and its conjugate momentum."""
-
-    eta1: float
-    eta2: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.eta1) and np.isfinite(self.eta2)):
-            raise ValueError("internal state must be finite")
-
-    def as_array(self):
-        return np.array([self.eta1, self.eta2])
 
 
 @dataclass(frozen=True)
@@ -98,13 +83,6 @@ class LinearizedInternalDynamics:
     rho: float
 
 
-def _constraint_rows(model, q):
-    """Stacked nonholonomic and holonomic constraint Jacobians at ``q``."""
-    j = np.asarray(model.nonholonomic(q), dtype=float)
-    g = np.asarray(model.holonomic_jacobian(q), dtype=float)
-    return np.concatenate([j, g], axis=-2)
-
-
 def high_gain(model, q):
     """Assemble the high-gain matrix and its blocks at a configuration.
 
@@ -114,7 +92,7 @@ def high_gain(model, q):
     """
     q = np.asarray(q, dtype=float)
     mass = np.asarray(model.mass_matrix(q), dtype=float)
-    cons = _constraint_rows(model, q)
+    cons = np.asarray(model.holonomic_jacobian(q), dtype=float)
     h_jac = np.asarray(model.output_jacobian(q), dtype=float)
     b = np.asarray(model.input_map(q), dtype=float)
     n_cons = cons.shape[0]
@@ -154,13 +132,13 @@ def high_gain(model, q):
 def phi2_rows(model, q):
     """Rows completing the constraint and output Jacobians to a coordinate map.
 
-    Returns the ``(n - p - l - m, n)`` matrix ``V^+ (I - M^-1 [J^T G^T B]
-    Gamma^-1 [J; G; H])`` whose rows annihilate ``M^-1 [J^T G^T B]``, with
-    ``V`` an orthonormal basis of the kernel of the stacked Jacobians.
+    Returns the ``(n - l - m, n)`` matrix ``V^+ (I - M^-1 [G^T B]
+    Gamma^-1 [G; H])`` whose rows annihilate ``M^-1 [G^T B]``, with ``V``
+    an orthonormal basis of the kernel of the stacked Jacobians.
     """
     q = np.asarray(q, dtype=float)
     mass = np.asarray(model.mass_matrix(q), dtype=float)
-    cons = _constraint_rows(model, q)
+    cons = np.asarray(model.holonomic_jacobian(q), dtype=float)
     h_jac = np.asarray(model.output_jacobian(q), dtype=float)
     b = np.asarray(model.input_map(q), dtype=float)
     n = mass.shape[0]
@@ -213,12 +191,8 @@ def robot_internal_rhs(eta, y, ydot, params):
     ``2 - 3 cos(eta1)`` falls below ``DENOMINATOR_TOL`` in magnitude.
     """
     p = params
-    if isinstance(eta, InternalState):
-        eta1 = np.asarray(eta.eta1, dtype=float)
-        eta2 = np.asarray(eta.eta2, dtype=float)
-    else:
-        eta = np.asarray(eta, dtype=float)
-        eta1, eta2 = eta[..., 0], eta[..., 1]
+    eta = np.asarray(eta, dtype=float)
+    eta1, eta2 = eta[..., 0], eta[..., 1]
     y = np.asarray(y, dtype=float)
     ydot = np.asarray(ydot, dtype=float)
     y2 = y[..., 1]

@@ -38,16 +38,19 @@ def lu_factor_checked(a):
     """LU-factorise a square matrix, raising ``SingularMatrix`` on tiny pivots.
 
     A pivot counts as tiny when its magnitude falls below ``PIVOT_RTOL``
-    times the largest pivot magnitude of the factorisation.
+    times the largest pivot magnitude of the factorisation.  A matrix
+    holding NaN or infinity raises ``NonFiniteEvaluation``.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteEvaluation("matrix to factorise is not finite")
     with warnings.catch_warnings():
         # scipy warns on exactly singular input; the pivot check below
         # turns that case into the documented exception instead.
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
     pivots = np.abs(np.diag(lu))
     if pivots.size and pivots.min() < PIVOT_RTOL * pivots.max():
         raise SingularMatrix(
@@ -69,12 +72,16 @@ def solve_linear(a, b):
     SingularMatrix
         When a pivot magnitude falls below ``PIVOT_RTOL`` times the largest
         pivot of the factorisation.
+    NonFiniteEvaluation
+        When ``a`` or ``b`` holds NaN or infinity.
     """
     b = np.asarray(b, dtype=float)
     lu, piv = lu_factor_checked(a)
     if b.shape[0] != lu.shape[0]:
         raise ValueError(f"shape mismatch: a is {lu.shape}, b is {b.shape}")
-    return scipy.linalg.lu_solve((lu, piv), b)
+    if not np.isfinite(b).all():
+        raise NonFiniteEvaluation("right-hand side is not finite")
+    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
 def _canonical_column_signs(v):
@@ -197,11 +204,10 @@ def eig_real_small(a):
     return pairs
 
 
-def fd_jacobian(fn, x, h=None):
+def fd_jacobian(fn, x):
     """Central-difference Jacobian of ``fn`` at ``x``.
 
-    The step for component ``i`` defaults to ``1e-6 * max(1, |x[i]|)``.
-    Passing ``h`` uses that step for every component.
+    The step for component ``i`` is ``1e-6 * max(1, |x[i]|)``.
 
     Raises
     ------
@@ -219,7 +225,7 @@ def fd_jacobian(fn, x, h=None):
     f0 = eval_checked(x)
     jac = np.empty((f0.size, x.size))
     for i in range(x.size):
-        hi = h if h is not None else 1e-6 * max(1.0, abs(x[i]))
+        hi = 1e-6 * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += hi

@@ -3,8 +3,7 @@
 A model provides the building blocks of
 
     q' = v
-    M(q) v' = f(q, v) + J(q)^T mu + G(q)^T lam + B(q) u
-    0 = J(q) v + j(q)          (p nonholonomic constraints)
+    M(q) v' = f(q, v) + G(q)^T lam + B(q) u
     0 = g(q)                   (l holonomic constraints)
     y = h(q)                   (m outputs)
 
@@ -36,17 +35,16 @@ class MbsDims:
 
     n: int
     holonomic: int
-    nonholonomic: int
     inputs: int
 
     def __post_init__(self):
-        for name in ("n", "holonomic", "nonholonomic", "inputs"):
+        for name in ("n", "holonomic", "inputs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.holonomic + self.nonholonomic + self.inputs > self.n:
+        if self.holonomic + self.inputs > self.n:
             raise ValueError(
                 "constraint and input counts exceed the coordinate count: "
-                f"{self.holonomic}+{self.nonholonomic}+{self.inputs} > {self.n}"
+                f"{self.holonomic}+{self.inputs} > {self.n}"
             )
 
 
@@ -65,8 +63,6 @@ class MbsModel:
     holonomic: Callable            # q -> (l,)
     holonomic_jacobian: Callable   # q -> (l, n)
     holonomic_jacobian_dot: Callable  # q, v -> (l, n)
-    nonholonomic: Callable         # q -> (p, n)
-    nonholonomic_offset: Callable  # q -> (p,)
     input_map: Callable            # q -> (n, m)
     output: Callable               # q -> (m,)
     output_jacobian: Callable      # q -> (m, n)
@@ -279,14 +275,12 @@ def two_mass_model(m1=1.0, m2=1.5, stiffness=40.0, damping=1.2,
         return np.stack([q[..., idx] for idx in output_masses], axis=-1)
 
     model = MbsModel(
-        dims=MbsDims(n=n, holonomic=0, nonholonomic=0, inputs=m_inputs),
+        dims=MbsDims(n=n, holonomic=0, inputs=m_inputs),
         mass_matrix=batched_const(mass),
         forces=forces,
         holonomic=empty_vec,
         holonomic_jacobian=empty_rows(n),
         holonomic_jacobian_dot=lambda q, v: empty_rows(n)(q),
-        nonholonomic=empty_rows(n),
-        nonholonomic_offset=empty_vec,
         input_map=batched_const(b),
         output=output,
         output_jacobian=batched_const(h_jac),

@@ -195,24 +195,14 @@ def output_jacobian(params, q):
 
 
 def robot_model(params):
-    """Bundle the robot callables into an ``MbsModel`` (n=5, l=2, p=0, m=2)."""
-    def empty_rows(q, *_):
-        q = np.asarray(q, dtype=float)
-        return np.zeros(q.shape[:-1] + (0, 5))
-
-    def empty_vec(q, *_):
-        q = np.asarray(q, dtype=float)
-        return np.zeros(q.shape[:-1] + (0,))
-
+    """Bundle the robot callables into an ``MbsModel`` (n=5, l=2, m=2)."""
     return MbsModel(
-        dims=MbsDims(n=5, holonomic=2, nonholonomic=0, inputs=2),
+        dims=MbsDims(n=5, holonomic=2, inputs=2),
         mass_matrix=lambda q: mass_matrix(params, q),
         forces=lambda q, v: generalized_forces(params, q, v),
         holonomic=lambda q: loop_closure(params, q),
         holonomic_jacobian=lambda q: loop_closure_jacobian(params, q),
         holonomic_jacobian_dot=lambda q, v: loop_closure_jacobian_dot(params, q, v),
-        nonholonomic=empty_rows,
-        nonholonomic_offset=empty_vec,
         input_map=lambda q: input_map(params, q),
         output=lambda q: output(params, q),
         output_jacobian=lambda q: output_jacobian(params, q),

@@ -6,7 +6,7 @@ import pytest
 from servofunnel.bvp import (
     BoundarySelection,
     BvpOptions,
-    assemble_residual,
+    _Transcription,
     equilibrium,
     feedforward,
     robot_boundary_preset,
@@ -87,7 +87,7 @@ def test_residual_vanishes_on_held_equilibrium():
     grid = np.linspace(-0.5, 2.0, 41)
     node = np.concatenate([q0, np.zeros(5), np.zeros(2), np.zeros(2)])
     z = np.tile(node, grid.size)
-    res = assemble_residual(MODEL, constant, SELECTION, grid, z)
+    res = _Transcription(MODEL, constant, SELECTION, grid).residual(z)
     assert res.shape == (grid.size * 14,)
     assert np.abs(res).max() < 1e-12
 
@@ -99,10 +99,11 @@ def test_residual_locality_of_an_input_perturbation():
     grid = np.linspace(-0.5, 2.0, 41)
     node = np.concatenate([q0, np.zeros(5), np.zeros(2), np.zeros(2)])
     z = np.tile(node, grid.size)
-    base = assemble_residual(MODEL, constant, SELECTION, grid, z)
+    trans = _Transcription(MODEL, constant, SELECTION, grid)
+    base = trans.residual(z)
     k = 17
     z[14 * k + 12] += 1e-3
-    poked = assemble_residual(MODEL, constant, SELECTION, grid, z)
+    poked = trans.residual(z)
     changed = np.nonzero(np.abs(poked - base) > 1e-15)[0]
     assert changed.size > 0
     blocks = set(range(10 + 14 * (k - 1), 10 + 14 * (k + 1)))

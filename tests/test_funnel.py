@@ -11,11 +11,7 @@ from servofunnel.funnel import (
     FunnelFunction,
     ReferenceSignal,
     control,
-    eta2_ref_init,
-    funnel_eval,
-    initial_controller_state,
     reference_internal,
-    step_reference_dynamics,
     timing_law,
 )
 from servofunnel.internal import linearize, psi
@@ -65,18 +61,9 @@ def test_funnel_design_table_defaults():
     assert (design.phi1.p, design.phi1.qrate, design.phi1.r) == (1.0, 2.0, 0.001)
     assert (design.phi2.p, design.phi2.qrate, design.phi2.r) == (1.0, 2.0, 0.001)
     assert (design.kappa0, design.kappa1, design.kappa2) == (1.0, 1.0, 50.0)
-    assert design.kappabar == design.kappa2
-    assert design.phi is design.phi2
     with pytest.raises(ValueError):
         FunnelDesign(phi0=design.phi0, phi1=design.phi1, phi2=design.phi2,
                      kappa0=0.0, kappa1=1.0, kappa2=50.0)
-
-
-def test_funnel_eval_matches_derivatives():
-    f = FunnelFunction(p=1.0, qrate=2.0, r=0.001)
-    values = funnel_eval(f, 0.7)
-    expected = f.derivatives(0.7, order=2)
-    assert values == expected
 
 
 def test_timing_law_endpoints_and_midpoint():
@@ -148,14 +135,14 @@ def test_reference_signal_tool_path_is_straight():
     assert along.min() >= -1e-12 and along.max() <= 1.0 + 1e-12
 
 
-def test_eta2_ref_init_value_and_constant_closed_form():
+def test_reference_internal_start_value_and_constant_closed_form():
     params, ref, lin = study_setup()
-    assert abs(eta2_ref_init(lin, ref) - (-6.902914104)) < 1e-6
+    assert abs(reference_internal(lin, ref)(0.0) - (-6.902914104)) < 1e-6
 
     constant = ReferenceSignal(params, r_start=(1.2, -0.7), r_end=(1.2, -0.7))
     ybar = np.asarray(constant(0.3)[0])
     closed = -float(lin.ptilde @ ybar) / lin.qtilde
-    value = eta2_ref_init(lin, constant)
+    value = reference_internal(lin, constant)(0.0)
     assert abs(value - closed) < 1e-7 * abs(closed)
 
 
@@ -172,7 +159,6 @@ def test_reference_internal_solves_the_unstable_ode():
     sweep = table(np.linspace(-1.0, 3.0, 2001))
     assert np.abs(sweep).max() < 20.0
 
-    assert abs(table(0.0) - eta2_ref_init(lin, ref)) < 1e-6
     yf = np.asarray(ref(ref.t_end)[0])
     tail = -float(lin.ptilde @ yf) / lin.qtilde
     assert abs(table(2.0) - tail) < 1e-12
@@ -184,36 +170,19 @@ def test_reference_internal_solves_the_unstable_ode():
     assert abs(table(-0.3) - expected) < 1e-10
 
 
-def test_step_reference_dynamics_matches_exact_linear_solution():
-    _, ref, lin = study_setup()
-    state = ControllerState(eta2_ref=-5.0, eta2_ref0=-5.0)
-    dt = 1e-3
-    stepped = step_reference_dynamics(state, lin, ref, -0.4, dt)
-    # Before t = 0 the reference output is frozen, so the scalar ODE has
-    # the exact solution of a constant-forced linear equation.
-    forcing = float(lin.ptilde @ np.asarray(ref(-0.4)[0]))
-    mu = lin.qtilde
-    exact = np.exp(mu * dt) * (-5.0 + forcing / mu) - forcing / mu
-    assert abs(stepped.eta2_ref - exact) < 1e-8
-    assert stepped.eta2_ref0 == -5.0
-    with pytest.raises(ValueError):
-        step_reference_dynamics(state, lin, ref, 0.0, 0.0)
-
-
 def test_controller_state_validation():
     with pytest.raises(ValueError):
         ControllerState(eta2_ref=np.inf, eta2_ref0=0.0)
-    _, ref, lin = study_setup()
-    state = initial_controller_state(lin, ref)
-    assert state.eta2_ref == state.eta2_ref0
-    assert abs(state.eta2_ref - eta2_ref_init(lin, ref)) == 0.0
+    with pytest.raises(ValueError):
+        ControllerState(eta2_ref=0.0, eta2_ref0=np.nan)
 
 
 def test_control_at_start_stays_deep_inside_funnels():
     params, ref, lin = study_setup()
     design = FunnelDesign.table_defaults()
     q0, v0 = initial_state(params)
-    state = initial_controller_state(lin, ref)
+    start = float(reference_internal(lin, ref)(0.0))
+    state = ControllerState(eta2_ref=start, eta2_ref0=start)
     u_fb, diag = control(0.0, q0, v0, state, lin, design, ref)
     for margin in (diag.margin_e10, diag.margin_e11,
                    diag.margin_e20, diag.margin_ebar):
@@ -226,7 +195,7 @@ def test_control_at_start_stays_deep_inside_funnels():
     assert abs(diag.k10 - design.kappa0 / diag.margin_e10) < 1e-15 * diag.k10
     assert abs(diag.k11 - design.kappa1 / diag.margin_e11) < 1e-15 * diag.k11
     assert abs(diag.k20 - design.kappa0 / diag.margin_e20) < 1e-15 * diag.k20
-    assert abs(diag.kbar - design.kappabar / diag.margin_ebar) < 1e-15 * diag.kbar
+    assert abs(diag.kbar - design.kappa2 / diag.margin_ebar) < 1e-15 * diag.kbar
     assert abs(diag.ebar_norm - np.hypot(diag.e12, diag.e21)) < 1e-15
 
 
@@ -256,7 +225,8 @@ def test_control_feedback_direction_flips_with_rho():
     yf = np.asarray(ref(1.0)[0])
     lin_pos = linearize(params, y0, yf, rho=1.0)
     lin_neg = linearize(params, y0, yf, rho=-1.0)
-    state = initial_controller_state(lin_pos, ref)
+    start = float(reference_internal(lin_pos, ref)(0.0))
+    state = ControllerState(eta2_ref=start, eta2_ref0=start)
     u_pos, _ = control(0.0, q0, v0, state, lin_pos, design, ref)
     u_neg, _ = control(0.0, q0, v0, state, lin_neg, design, ref)
     assert np.array_equal(u_pos, -u_neg)

@@ -7,7 +7,6 @@ import pytest
 
 from servofunnel.errors import DenominatorSingular, GramSingular
 from servofunnel.internal import (
-    InternalState,
     high_gain,
     internal_coordinates,
     linearize,
@@ -74,7 +73,7 @@ def test_high_gain_rejects_redundant_constraints():
     base = robot_model(params)
     degenerate = dataclasses.replace(
         base,
-        dims=MbsDims(n=5, holonomic=3, nonholonomic=0, inputs=2),
+        dims=MbsDims(n=5, holonomic=3, inputs=2),
         holonomic=lambda q: np.concatenate([base.holonomic(q),
                                             base.holonomic(q)[:1]]),
         holonomic_jacobian=lambda q: np.vstack([base.holonomic_jacobian(q),
@@ -139,13 +138,6 @@ def test_internal_coordinates_batched():
     assert np.array_equal(eta1, qs[:, 4])
     for k in range(6):
         assert abs(eta2[k] - phi_tilde_row(params, qs[k]) @ vs[k]) < 1e-14
-
-
-def test_internal_state_container():
-    state = InternalState(eta1=0.1, eta2=-0.4)
-    assert np.array_equal(state.as_array(), np.array([0.1, -0.4]))
-    with pytest.raises(ValueError):
-        InternalState(eta1=np.nan, eta2=0.0)
 
 
 def test_internal_rhs_denominator_singularity():

@@ -51,6 +51,21 @@ def test_solve_linear_shape_checks():
         solve_linear(np.eye(3), np.ones(2))
 
 
+def test_solve_linear_rejects_nan_in_matrix():
+    a = np.eye(3)
+    a[1, 2] = np.nan
+    with pytest.raises(NonFiniteEvaluation):
+        lu_factor_checked(a)
+    with pytest.raises(NonFiniteEvaluation):
+        solve_linear(a, np.ones(3))
+
+
+def test_solve_linear_rejects_inf_in_right_hand_side():
+    b = np.array([1.0, np.inf, 0.0])
+    with pytest.raises(NonFiniteEvaluation):
+        solve_linear(np.eye(3), b)
+
+
 def test_kernel_basis_annihilates_and_is_orthonormal():
     rng = np.random.default_rng(11)
     for _ in range(30):

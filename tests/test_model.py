@@ -6,12 +6,21 @@ import numpy as np
 import pytest
 
 from servofunnel.model import (
+    MbsDims,
     OperatingSet,
     get_model,
     is_colocated,
     two_mass_model,
     validate_model,
 )
+
+
+def test_mbs_dims_rejects_bad_counts():
+    assert MbsDims(n=5, holonomic=3, inputs=2).n == 5
+    with pytest.raises(ValueError):
+        MbsDims(n=5, holonomic=-1, inputs=2)
+    with pytest.raises(ValueError):
+        MbsDims(n=5, holonomic=3, inputs=3)
 
 
 def test_operating_set_contains_and_sample():

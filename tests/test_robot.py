@@ -191,9 +191,7 @@ def test_high_gain_determinant_positive_for_homogeneous_arm():
 def test_robot_model_bundle_dimensions():
     params = RobotParams.reference()
     model = robot_model(params)
-    assert (model.dims.n, model.dims.holonomic,
-            model.dims.nonholonomic, model.dims.inputs) == (5, 2, 0, 2)
+    assert (model.dims.n, model.dims.holonomic, model.dims.inputs) == (5, 2, 2)
     q = sample_configurations(params, 1, seed=21)[0]
-    assert model.nonholonomic(q).shape == (0, 5)
     assert model.holonomic(q).shape == (2,)
     assert model.output(q).shape == (2,)

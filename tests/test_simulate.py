@@ -80,7 +80,7 @@ def test_accelerations_reject_rank_deficient_constraints():
 
     degenerate = dataclasses.replace(
         MODEL,
-        dims=MbsDims(n=5, holonomic=3, nonholonomic=0, inputs=2),
+        dims=MbsDims(n=5, holonomic=3, inputs=2),
         holonomic=lambda q: np.concatenate([MODEL.holonomic(q),
                                             MODEL.holonomic(q)[:1]]),
         holonomic_jacobian=lambda q: np.vstack([MODEL.holonomic_jacobian(q),
