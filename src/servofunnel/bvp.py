@@ -4,9 +4,12 @@ The dynamics, the loop-closure constraint and the output pinned to the
 reference form a boundary value problem: differential states are
 discretized by compressed Hermite-Simpson intervals, algebraic rows are
 enforced at the interior and final nodes, and pinned entries at both
-window ends close the count.  A damped Newton method with a banded
-finite-difference Jacobian solves the resulting square system; the input
-trajectory it returns is the feedforward signal.
+window ends close the count.  The system is square, but its Jacobian is
+rank-deficient: a mode alternating node to node in the multiplier and
+input unknowns lies in its numerical null space.  A damped Newton method
+therefore steps through shifted normal equations of the banded
+finite-difference Jacobian, which filter that mode; the input trajectory
+it returns is the feedforward signal.
 """
 
 from __future__ import annotations

@@ -2,7 +2,16 @@
 
 
 class ServoFunnelError(Exception):
-    """Base class for all library-specific failures."""
+    """Base class for all library-specific failures; ``time`` is the
+    simulation time of the failure, when known, and ends the message."""
+
+    def __init__(self, message="", time=None):
+        super().__init__(message)
+        self.time = time
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.time is None else f"{text} at t = {self.time:.6f}"
 
 
 class SingularMatrix(ServoFunnelError):
@@ -58,14 +67,7 @@ class SaddleSingular(ServoFunnelError):
 
 
 class FunnelViolation(ServoFunnelError):
-    """A tracking error reached its funnel boundary; the closed loop failed.
-
-    Carries the simulation time at which the violation occurred.
-    """
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
+    """A tracking error reached its funnel boundary; the closed loop failed."""
 
 
 class StepSizeUnderflow(ServoFunnelError):

@@ -18,8 +18,9 @@ from . import robot as robot_mod
 from .errors import FunnelViolation
 from .internal import psi
 
-#: Denominator floor applied instead of raising when ``control`` runs in
-#: non-strict mode (trial integrator stages may overshoot the boundary).
+#: Floor on the margins the gains divide by, so that trial integrator
+#: stages outside a funnel still evaluate; the diagnostics keep the raw
+#: margins, and the containment check reads those.
 GAIN_DENOMINATOR_FLOOR = 1e-12
 
 
@@ -219,9 +220,9 @@ def reference_internal(lin, ref, grid_step=1e-3):
 class ControlDiagnostics:
     """Error chain, gains and funnel margins of one feedback evaluation.
 
-    Margins are the denominators ``1 - phi^2 e^2`` (and the bundled
-    ``1 - phi^2 ||ebar||^2``); they stay in ``(0, 1]`` while the errors
-    remain inside their funnels.
+    Margins are the raw gain denominators ``1 - phi^2 e^2`` (and the
+    bundled ``1 - phi^2 ||ebar||^2``), before flooring; they stay in
+    ``(0, 1]`` while the errors remain inside their funnels.
     """
 
     e10: float
@@ -245,14 +246,13 @@ class ControlDiagnostics:
         return min(self.margin_e10, self.margin_e11,
                    self.margin_e20, self.margin_ebar)
 
-
-def _guard(margin, label, t, strict):
-    if margin > 0.0:
-        return margin
-    if strict:
-        raise FunnelViolation(
-            f"{label} reached its funnel boundary at t = {t:.6f}", time=t)
-    return GAIN_DENOMINATOR_FLOOR
+    def check_containment(self, t):
+        """Raise ``FunnelViolation`` at the first margin that is not
+        positive, in the order e10, e11, e20, ebar."""
+        for label in ("e10", "e11", "e20", "ebar"):
+            if not getattr(self, f"margin_{label}") > 0.0:
+                raise FunnelViolation(
+                    f"{label} reached its funnel boundary", time=t)
 
 
 def control(t, q, v, state, lin, design, ref, strict=True):
@@ -261,10 +261,10 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     Builds the internal-coordinate error chain (depth two, with surrogate
     derivatives from the linearized internal dynamics) and the output
     error chain (depth one), bundles their top errors, and returns
-    ``-rho * kbar * ebar`` together with diagnostics.  In strict mode a
-    funnel boundary contact raises ``FunnelViolation``; otherwise the
-    gain denominators are floored, which lets trial integrator stages
-    evaluate slightly outside the funnel.
+    ``-rho * kbar * ebar`` together with diagnostics.  The gains divide
+    by margins floored at ``GAIN_DENOMINATOR_FLOOR``; the diagnostics
+    report the raw margins.  ``strict`` applies the integrator's
+    containment check, ``ControlDiagnostics.check_containment``.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -288,25 +288,25 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     phi1 = design.phi1.derivatives(float(t), order=0)[0]
     phi2 = design.phi2.derivatives(float(t), order=0)[0]
 
-    margin_e10 = _guard(1.0 - phi0 ** 2 * e10 ** 2, "e10", t, strict)
-    k10 = design.kappa0 / margin_e10
-    k10_d1 = (2.0 * design.kappa0 / margin_e10
+    margin_e10 = 1.0 - phi0 ** 2 * e10 ** 2
+    k10 = design.kappa0 / max(GAIN_DENOMINATOR_FLOOR, margin_e10)
+    k10_d1 = (2.0 * k10
               * (phi0 * phi0_dot * e10 ** 2 + phi0 ** 2 * e10 * e10_d1))
     e11 = e10_d1 + k10 * e10
     e11_d1 = e10_d2 + k10 * e10_d1 + k10_d1 * e10
-    margin_e11 = _guard(1.0 - phi1 ** 2 * e11 ** 2, "e11", t, strict)
-    k11 = design.kappa1 / margin_e11
+    margin_e11 = 1.0 - phi1 ** 2 * e11 ** 2
+    k11 = design.kappa1 / max(GAIN_DENOMINATOR_FLOOR, margin_e11)
     e12 = e11_d1 + k11 * e11
 
     e20 = float(lin.k2 @ dy)
-    margin_e20 = _guard(1.0 - phi0 ** 2 * e20 ** 2, "e20", t, strict)
-    k20 = design.kappa0 / margin_e20
+    margin_e20 = 1.0 - phi0 ** 2 * e20 ** 2
+    k20 = design.kappa0 / max(GAIN_DENOMINATOR_FLOOR, margin_e20)
     e21 = float(lin.k2 @ dyd) + k20 * e20
 
     ebar = np.array([e12, e21])
     ebar_norm = float(np.linalg.norm(ebar))
-    margin_ebar = _guard(1.0 - phi2 ** 2 * ebar_norm ** 2, "ebar", t, strict)
-    kbar = design.kappa2 / margin_ebar
+    margin_ebar = 1.0 - phi2 ** 2 * ebar_norm ** 2
+    kbar = design.kappa2 / max(GAIN_DENOMINATOR_FLOOR, margin_ebar)
     u_fb = -lin.rho * kbar * ebar
 
     diag = ControlDiagnostics(
@@ -317,4 +317,6 @@ def control(t, q, v, state, lin, design, ref, strict=True):
         margin_e20=margin_e20, margin_ebar=margin_ebar,
         u_fb=u_fb,
     )
+    if strict:
+        diag.check_containment(t)
     return u_fb, diag

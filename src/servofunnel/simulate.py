@@ -1,4 +1,4 @@
-"""Closed-loop simulation of the tracking study and its batch plumbing.
+"""Closed-loop simulation of the tracking study.
 
 Integrates the constrained robot as an index-1 system (saddle solve with
 Baumgarte stabilization) under one of three controller configurations:
@@ -11,7 +11,7 @@ for the command line driver.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from . import robot as robot_mod
 from .errors import (
     ConfigError,
     SaddleSingular,
+    ServoFunnelError,
     SingularMatrix,
     StepSizeUnderflow,
 )
@@ -244,9 +245,7 @@ class TimeSeries:
     def validate(self):
         if not np.all(np.diff(self.t) > 0.0):
             raise ValueError("time grid must be strictly increasing")
-        for name in ("t", "q", "v", "y", "y_ref", "u_ff", "u_fb", "u",
-                     "lam", "ebar_norm", "funnel_boundary", "g_norm",
-                     "r_app"):
+        for name in (f.name for f in fields(self)):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite values in {name}")
 
@@ -313,7 +312,8 @@ def compute_metrics(ts, params):
     )
 
 
-# Dormand-Prince 4(5) tableau (fifth-order propagation, FSAL).
+# Dormand-Prince 4(5) tableau (fifth-order propagation, FSAL): the last
+# row of ``_DP_A`` holds the fifth-order weights.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -325,37 +325,47 @@ _DP_A = [
               -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+
+
+def _timed(fn, t, *args):
+    """``fn(t, *args)``, stamping ``t`` on a library error that has no time."""
+    try:
+        return fn(t, *args)
+    except ServoFunnelError as exc:
+        if exc.time is None:
+            exc.time = t
+        raise
 
 
 def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept):
     """Adaptive embedded 4(5) integration with PI step-size control.
 
-    Calls ``on_accept(t, x)`` after every accepted step (and once at the
-    start); raises ``StepSizeUnderflow`` when the controller would step
-    below ``MIN_STEP``.
+    ``rhs(t, x)`` returns ``(xdot, aux)``; ``on_accept(t, x, aux)`` runs
+    at the start and after every accepted step with the ``aux`` of the
+    last (FSAL) stage, which sits at the accepted point.  Library errors
+    from either callable get the stage time; raises ``StepSizeUnderflow``
+    when the controller would step below ``MIN_STEP``.
     """
     t = float(t_start)
     x = np.asarray(x0, dtype=float).copy()
-    on_accept(t, x)
     h = min(max_step, (t_end - t_start) / 1000.0)
     err_prev = 1.0
     k = [None] * 7
-    k[0] = rhs(t, x)
+    k[0], aux = _timed(rhs, t, x)
+    _timed(on_accept, t, x, aux)
     while True:
         gap = t_end - t
         if gap <= max(MIN_STEP, 1e-14 * max(1.0, abs(t_end))):
             break
         h = min(h, max_step, gap)
         if h < MIN_STEP:
-            raise StepSizeUnderflow(f"step size {h:.3e} at t = {t:.6f}")
+            raise StepSizeUnderflow(f"step size {h:.3e}", time=t)
         for i in range(1, 7):
             xi = x + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-            k[i] = rhs(t + _DP_C[i] * h, xi)
-        x5 = x + h * sum(b * k[j] for j, b in enumerate(_DP_B5) if b)
+            k[i], stage_aux = _timed(rhs, t + _DP_C[i] * h, xi)
+        x5 = xi  # the last stage sits at the fifth-order solution
         x4 = x + h * sum(b * k[j] for j, b in enumerate(_DP_B4) if b)
         scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x5))
         err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
@@ -363,7 +373,7 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept):
         if err <= 1.0:
             t = t + h
             x = x5
-            on_accept(t, x)
+            _timed(on_accept, t, x, stage_aux)
             k[0] = k[6]
             factor = 0.9 * err ** -0.14 * err_prev ** 0.08
             err_prev = err
@@ -396,9 +406,9 @@ def integrate_closed_loop(scn):
 
     The plant uses the scenario's parameter preset while the controller,
     the reference and the inversion always use the reference parameters.
-    Funnel containment is enforced strictly at accepted steps; trial
-    stages evaluate with floored gain denominators.  Returns
-    ``(TimeSeries, Metrics)``.
+    Accepted points are logged, and checked for funnel containment, from
+    the ``aux`` of the integrator's evaluation there, so each is evaluated
+    once.  Returns ``(TimeSeries, Metrics)``.
     """
     scn.validate()
     plant, _ = get_model(f"{scn.model}-{scn.params}")
@@ -424,37 +434,33 @@ def integrate_closed_loop(scn):
         eta_ref = funnel_mod.reference_internal(lin, ref)
         eta_ref0 = float(eta_ref(0.0))
 
-        def feedback(t, q, v, strict):
-            state = funnel_mod.ControllerState(
-                eta2_ref=float(eta_ref(t)), eta2_ref0=eta_ref0)
-            return funnel_mod.control(t, q, v, state, lin, design, ref,
-                                      strict=strict)
-
     def rhs(t, x):
         q, v = x[:5], x[5:]
-        u = u_ff_fn(t) if needs_ff else u_zero
+        u_ff = u_ff_fn(t)
         if needs_fb:
-            u = u + feedback(t, q, v, False)[0]
-        vdot, _ = index1_accelerations(plant, q, v, u, baumgarte)
-        return np.concatenate([v, vdot])
+            state = funnel_mod.ControllerState(
+                eta2_ref=float(eta_ref(t)), eta2_ref0=eta_ref0)
+            u_fb, diag = funnel_mod.control(t, q, v, state, lin, design, ref,
+                                            strict=False)
+        else:
+            u_fb, diag = u_zero, None
+        u = u_ff + u_fb
+        vdot, lam = index1_accelerations(plant, q, v, u, baumgarte)
+        return np.concatenate([v, vdot]), (u_ff, u_fb, u, lam, diag)
 
     rows = []
 
-    def on_accept(t, x):
+    def on_accept(t, x, aux):
         q, v = x[:5], x[5:]
-        uff_val = np.asarray(u_ff_fn(t), dtype=float) if needs_ff else u_zero
-        if needs_fb:
-            ufb_val, diag = feedback(t, q, v, True)
-            ebar = diag.ebar_norm
-        else:
-            ufb_val, ebar = u_zero, 0.0
-        u = uff_val + ufb_val
-        _, lam = index1_accelerations(plant, q, v, u, baumgarte)
+        u_ff, u_fb, u, lam, diag = aux
+        if diag is not None:
+            diag.check_containment(t)
         y = np.asarray(plant.output(q), dtype=float)
         y_ref = np.asarray(ref(t)[0], dtype=float)
-        rows.append((
-            t, q.copy(), v.copy(), y, y_ref, uff_val, ufb_val, u, lam,
-            ebar, float(design.phi2.boundary(t)),
+        rows.append((  # in the field order of TimeSeries
+            t, q.copy(), v.copy(), y, y_ref, u_ff, u_fb, u, lam,
+            0.0 if diag is None else diag.ebar_norm,
+            float(design.phi2.boundary(t)),
             float(np.abs(np.asarray(plant.holonomic(q))).max()),
             robot_mod.end_effector(ctrl_params, y_ref),
         ))
@@ -464,21 +470,7 @@ def integrate_closed_loop(scn):
     _rk45(rhs, 0.0, scn.t_end, x0, scn.rel_tol, scn.abs_tol, scn.max_step,
           on_accept)
 
-    ts = TimeSeries(
-        t=np.array([r[0] for r in rows]),
-        q=np.array([r[1] for r in rows]),
-        v=np.array([r[2] for r in rows]),
-        y=np.array([r[3] for r in rows]),
-        y_ref=np.array([r[4] for r in rows]),
-        u_ff=np.array([r[5] for r in rows]),
-        u_fb=np.array([r[6] for r in rows]),
-        u=np.array([r[7] for r in rows]),
-        lam=np.array([r[8] for r in rows]),
-        ebar_norm=np.array([r[9] for r in rows]),
-        funnel_boundary=np.array([r[10] for r in rows]),
-        g_norm=np.array([r[11] for r in rows]),
-        r_app=np.array([r[12] for r in rows]),
-    )
+    ts = TimeSeries(*(np.array(column) for column in zip(*rows)))
     ts.validate()
     return ts, compute_metrics(ts, ctrl_params)
 
@@ -497,18 +489,16 @@ def integrate_open_loop(model, u_fn, x0, t_span, rel_tol=DEFAULT_REL_TOL,
         vdot, _ = index1_accelerations(model, x[:n], x[n:],
                                        np.asarray(u_fn(t), dtype=float),
                                        baumgarte)
-        return np.concatenate([x[n:], vdot])
+        return np.concatenate([x[n:], vdot]), None
 
     rows = []
 
-    def on_accept(t, x):
+    def on_accept(t, x, _):
         rows.append((t, x[:n].copy(), x[n:].copy()))
 
     _rk45(rhs, t_span[0], t_span[1], np.asarray(x0, dtype=float),
           rel_tol, abs_tol, max_step, on_accept)
-    return (np.array([r[0] for r in rows]),
-            np.array([r[1] for r in rows]),
-            np.array([r[2] for r in rows]))
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 @dataclass

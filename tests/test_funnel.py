@@ -211,10 +211,14 @@ def test_control_raises_on_funnel_contact():
     with pytest.raises(FunnelViolation) as caught:
         control(3.0, q0, v0, state, lin, design, ref, strict=True)
     assert caught.value.time == 3.0
+    assert str(caught.value) == "e10 reached its funnel boundary at t = 3.000000"
 
+    # Without strict the gains divide by the floored margins, while the
+    # diagnostics keep the raw, negative ones.
     u_fb, diag = control(3.0, q0, v0, state, lin, design, ref, strict=False)
     assert np.all(np.isfinite(u_fb))
-    assert diag.min_margin == GAIN_DENOMINATOR_FLOOR
+    assert diag.min_margin < 0.0
+    assert diag.kbar == design.kappa2 / GAIN_DENOMINATOR_FLOOR
 
 
 def test_control_feedback_direction_flips_with_rho():

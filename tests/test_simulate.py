@@ -5,7 +5,19 @@ import pathlib
 import numpy as np
 import pytest
 
-from servofunnel.errors import ConfigError, SaddleSingular, StepSizeUnderflow
+from servofunnel.errors import (
+    ConfigError,
+    NonFiniteEvaluation,
+    SaddleSingular,
+    StepSizeUnderflow,
+)
+from servofunnel.funnel import (
+    ControllerState,
+    ReferenceSignal,
+    control,
+    reference_internal,
+)
+from servofunnel.internal import linearize
 from servofunnel.linalg import kernel_basis, pseudo_inverse_tall
 from servofunnel.model import MbsDims
 from servofunnel.robot import (
@@ -96,8 +108,14 @@ def test_accelerations_reject_rank_deficient_constraints():
 
 def test_adaptive_steps_hit_requested_accuracy():
     accepted = []
-    t_end, x_end = _rk45(lambda t, x: -x, 0.0, 1.0, np.array([1.0]),
-                         1e-10, 1e-12, 0.5, lambda t, x: accepted.append(t))
+
+    def on_accept(t, x, aux):
+        # The first-same-as-last stage was evaluated at exactly this point.
+        assert aux[0] == t and np.array_equal(aux[1], x)
+        accepted.append(t)
+
+    t_end, x_end = _rk45(lambda t, x: (-x, (t, x.copy())), 0.0, 1.0,
+                         np.array([1.0]), 1e-10, 1e-12, 0.5, on_accept)
     assert t_end == 1.0
     assert abs(x_end[0] - np.exp(-1.0)) < 1e-9
     assert accepted[0] == 0.0 and accepted[-1] == 1.0
@@ -105,9 +123,26 @@ def test_adaptive_steps_hit_requested_accuracy():
 
 
 def test_adaptive_steps_underflow_on_stiff_decay():
-    with pytest.raises(StepSizeUnderflow):
-        _rk45(lambda t, x: -1e20 * x, 0.0, 1.0, np.array([1.0]),
-              1e-10, 1e-12, 0.1, lambda t, x: None)
+    with pytest.raises(StepSizeUnderflow) as caught:
+        _rk45(lambda t, x: (-1e20 * x, None), 0.0, 1.0, np.array([1.0]),
+              1e-10, 1e-12, 0.1, lambda t, x, aux: None)
+    assert caught.value.time == 0.0
+
+
+def test_integrator_errors_carry_the_stage_time():
+    accepted = []
+
+    def rhs(t, x):
+        if t > 0.3:
+            raise NonFiniteEvaluation("right-hand side is not finite")
+        return -x, None
+
+    with pytest.raises(NonFiniteEvaluation) as caught:
+        _rk45(rhs, 0.0, 1.0, np.array([1.0]), 1e-8, 1e-10, 0.01,
+              lambda t, x, aux: accepted.append(t))
+    assert accepted[-1] <= 0.3 < caught.value.time <= accepted[-1] + 0.01
+    assert str(caught.value) == (f"right-hand side is not finite "
+                                 f"at t = {caught.value.time:.6f}")
 
 
 def test_free_motion_dissipates_energy():
@@ -293,6 +328,24 @@ def test_closed_loop_feedback_stays_inside_funnel():
     assert metrics.min_funnel_margin > 0.0
     assert np.abs(ts.u_ff).max() == 0.0
     assert np.array_equal(ts.u, ts.u_fb)
+
+    # The log comes from the integrator's evaluation at each accepted
+    # point; a strict evaluation there must reproduce it bit for bit.
+    ref = ReferenceSignal(PARAMS)
+    lin = linearize(PARAMS, np.asarray(ref(ref.t_start)[0]),
+                    np.asarray(ref(ref.t_end)[0]), k1=scn.k1, k2=scn.k2)
+    eta_ref = reference_internal(lin, ref)
+    eta_ref0 = float(eta_ref(0.0))
+    for i, t in enumerate(ts.t):
+        state = ControllerState(eta2_ref=float(eta_ref(t)), eta2_ref0=eta_ref0)
+        u_fb, diag = control(t, ts.q[i], ts.v[i], state, lin,
+                             scn.funnel_design, ref, strict=True)
+        u = np.zeros(2) + u_fb
+        _, lam = index1_accelerations(MODEL, ts.q[i], ts.v[i], u)
+        assert np.array_equal(ts.u_fb[i], u_fb)
+        assert np.array_equal(ts.u[i], u)
+        assert np.array_equal(ts.lam[i], lam)
+        assert ts.ebar_norm[i] == diag.ebar_norm
 
 
 def test_cumulative_errors_converged_in_tolerance():
