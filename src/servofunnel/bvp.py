@@ -86,19 +86,17 @@ def robot_boundary_preset(params):
 
 @dataclass(frozen=True)
 class BvpOptions:
-    """Solver window, resolution and Newton parameters.
+    """Solver window, resolution and Newton iteration budget.
 
     ``t_start``/``t_end`` default to the reference window padded by
-    ``WINDOW_BEFORE``/``WINDOW_AFTER``.  ``coarse_intervals`` optionally
-    solves a coarser grid first and refines from its interpolant.
+    ``WINDOW_BEFORE``/``WINDOW_AFTER``.  Newton stops once the residual
+    infinity norm is at most ``RESIDUAL_TOL``.
     """
 
     t_start: float = None
     t_end: float = None
     intervals: int = 350
-    tolerance: float = RESIDUAL_TOL
     max_iterations: int = 40
-    coarse_intervals: int = None
 
 
 @dataclass
@@ -288,14 +286,14 @@ def _normal_banded(ab, res, lower, upper):
     return hb, grad, float(hb[bw].max())
 
 
-def _newton(trans, z, tolerance, max_iterations):
+def _newton(trans, z, max_iterations):
     lower, upper = trans.bandwidths
     res = trans.residual(z)
     norm = np.abs(res).max()
     merit = float(res @ res)
     shift_floor = None
     iterations = 0
-    while norm > tolerance:
+    while norm > RESIDUAL_TOL:
         if iterations >= max_iterations:
             raise NewtonDiverged(
                 f"residual {norm:.3e} after {iterations} Newton iterations")
@@ -335,7 +333,7 @@ def _newton(trans, z, tolerance, max_iterations):
         norm = np.abs(res).max()
         shift = max(shift / 10.0, shift_floor)
         iterations += 1
-    return z, res, norm, iterations
+    return z, norm, iterations
 
 
 def _initial_guess(model, ref, sel, grid):
@@ -373,7 +371,7 @@ def solve_bvp(model, ref, sel, options=None):
     """Solve the inversion boundary value problem on a uniform grid.
 
     Returns a ``CollocationSolution`` whose residual infinity norm is at
-    most the requested tolerance.  Raises ``BadGrid`` for fewer than
+    most ``RESIDUAL_TOL``.  Raises ``BadGrid`` for fewer than
     ``MIN_INTERVALS`` intervals or a degenerate window, ``NewtonDiverged``
     when damped Newton stalls.
     """
@@ -390,52 +388,29 @@ def solve_bvp(model, ref, sel, options=None):
         raise BadGrid(f"need at least {MIN_INTERVALS} intervals, "
                       f"got {options.intervals}")
 
-    plan = []
-    if options.coarse_intervals:
-        if options.coarse_intervals < MIN_INTERVALS:
-            raise BadGrid(f"coarse grid below {MIN_INTERVALS} intervals")
-        if options.coarse_intervals < options.intervals:
-            plan.append(options.coarse_intervals)
-    plan.append(options.intervals)
-
-    z = None
-    total_iterations = 0
-    for intervals in plan:
-        grid = np.linspace(t_start, t_end, intervals + 1)
-        trans = _Transcription(model, ref, sel, grid)
-        if z is None:
-            z = _initial_guess(model, ref, sel, grid)
-        else:
-            old_nodes = z.reshape(prev_grid.size, trans.width)
-            interp = CubicSpline(prev_grid, old_nodes, axis=0)
-            z = interp(grid).ravel()
-        z, res, norm, iterations = _newton(
-            trans, z, options.tolerance, options.max_iterations)
-        total_iterations += iterations
-        prev_grid = grid
+    grid = np.linspace(t_start, t_end, options.intervals + 1)
+    trans = _Transcription(model, ref, sel, grid)
+    z = _initial_guess(model, ref, sel, grid)
+    z, norm, iterations = _newton(trans, z, options.max_iterations)
 
     q, v, lam, u = trans.split(z)
     return CollocationSolution(
         grid=grid, q=q.copy(), v=v.copy(), lam=lam.copy(), u=u.copy(),
-        newton_iterations=total_iterations, final_residual=float(norm),
+        newton_iterations=iterations, final_residual=float(norm),
     )
 
 
-def feedforward(sol, t0=None):
-    """Input interpolant of a converged solution, zeroed before ``t0``.
+def feedforward(sol):
+    """Input interpolant of a converged solution.
 
-    Cubic interpolation through the grid inputs, held constant beyond the
-    window; with ``t0`` given, the signal is the causal part only and
-    vanishes for ``t < t0``.
+    Cubic interpolation through the grid inputs, held at the end values
+    beyond the window.  The signal is the full non-causal feedforward:
+    whatever part of the window a run covers is applied as solved.
     """
     spline = CubicSpline(sol.grid, sol.u, axis=0)
     lo, hi = sol.grid[0], sol.grid[-1]
 
     def u_ff(t):
-        t = np.asarray(t, dtype=float)
-        vals = spline(np.clip(t, lo, hi))
-        if t0 is not None:
-            vals = np.where((t < t0)[..., None], 0.0, vals)
-        return vals
+        return spline(np.clip(np.asarray(t, dtype=float), lo, hi))
 
     return u_ff

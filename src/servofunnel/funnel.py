@@ -18,10 +18,8 @@ from . import robot as robot_mod
 from .errors import FunnelViolation
 from .internal import psi
 
-#: Floor on the margins the gains divide by, so that trial integrator
-#: stages outside a funnel still evaluate; the diagnostics keep the raw
-#: margins, and the containment check reads those.
-GAIN_DENOMINATOR_FLOOR = 1e-12
+#: Spacing of the table behind the bounded internal reference, in seconds.
+REFERENCE_GRID_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,9 @@ class FunnelFunction:
         return self.p * np.exp(-self.qrate * t) + self.r
 
     def derivatives(self, t, order=2):
-        """``phi`` and its first ``order`` time derivatives (``order <= 3``)."""
-        if not 0 <= order <= 3:
-            raise ValueError("order must be between 0 and 3")
+        """``phi`` and its first ``order`` time derivatives (``order <= 2``)."""
+        if not 0 <= order <= 2:
+            raise ValueError("order must be between 0 and 2")
         t = np.asarray(t, dtype=float)
         w = self.p * np.exp(-self.qrate * t)
         den = w + self.r
@@ -62,8 +60,6 @@ class FunnelFunction:
             out.append(q * w / den ** 2)
         if order >= 2:
             out.append(q ** 2 * w * (w - r) / den ** 3)
-        if order >= 3:
-            out.append(q ** 3 * w * (w ** 2 - 4.0 * r * w + r ** 2) / den ** 4)
         return tuple(out)
 
 
@@ -168,7 +164,7 @@ class ControllerState:
             raise ValueError("controller state must be finite")
 
 
-def reference_internal(lin, ref, grid_step=1e-3):
+def reference_internal(lin, ref):
     """Bounded solution of the unstable reference dynamics, as a callable.
 
     The reference coordinate obeys ``d/dt eta = qtilde eta + ptilde
@@ -177,9 +173,9 @@ def reference_internal(lin, ref, grid_step=1e-3):
     which exhausts double precision within a fraction of a second.  This
     builds the bounded solution in the stable direction instead: backward
     from the settling value ``-ptilde y_ref(t_end) / qtilde`` with
-    exponentially weighted Simpson cells, tabulated on a ``grid_step``
-    grid and interpolated by a cubic spline.  Constant closed forms cover
-    times outside ``[t_start, t_end]``.
+    exponentially weighted Simpson cells, tabulated on a
+    ``REFERENCE_GRID_STEP`` grid and interpolated by a cubic spline.
+    Constant closed forms cover times outside ``[t_start, t_end]``.
     """
     mu = lin.qtilde
     t_end = float(getattr(ref, "t_end", 0.0))
@@ -187,7 +183,7 @@ def reference_internal(lin, ref, grid_step=1e-3):
     head_y = float(lin.ptilde @ _reference_output(ref, min(0.0, t_end)))
 
     if t_end > 0.0:
-        n = int(np.ceil(t_end / grid_step))
+        n = int(np.ceil(t_end / REFERENCE_GRID_STEP))
         ts = np.linspace(0.0, t_end, n + 1)
         h = ts[1] - ts[0]
         f = _reference_output(ref, ts) @ lin.ptilde
@@ -220,9 +216,9 @@ def reference_internal(lin, ref, grid_step=1e-3):
 class ControlDiagnostics:
     """Error chain, gains and funnel margins of one feedback evaluation.
 
-    Margins are the raw gain denominators ``1 - phi^2 e^2`` (and the
-    bundled ``1 - phi^2 ||ebar||^2``), before flooring; they stay in
-    ``(0, 1]`` while the errors remain inside their funnels.
+    Margins are the gain denominators ``1 - phi^2 e^2`` (and the bundled
+    ``1 - phi^2 ||ebar||^2``); ``control`` returns diagnostics only when
+    all four lie in ``(0, 1]``.
     """
 
     e10: float
@@ -246,13 +242,13 @@ class ControlDiagnostics:
         return min(self.margin_e10, self.margin_e11,
                    self.margin_e20, self.margin_ebar)
 
-    def check_containment(self, t):
-        """Raise ``FunnelViolation`` at the first margin that is not
-        positive, in the order e10, e11, e20, ebar."""
-        for label in ("e10", "e11", "e20", "ebar"):
-            if not getattr(self, f"margin_{label}") > 0.0:
-                raise FunnelViolation(
-                    f"{label} reached its funnel boundary", time=t)
+
+def _gain(kappa, margin, label, t):
+    """``kappa / margin``; a margin that is not positive (NaN included)
+    means ``label`` left its funnel and raises ``FunnelViolation``."""
+    if not margin > 0.0:
+        raise FunnelViolation(f"{label} reached its funnel boundary", time=t)
+    return kappa / margin
 
 
 def control(t, q, v, state, lin, design, ref, strict=True):
@@ -261,10 +257,11 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     Builds the internal-coordinate error chain (depth two, with surrogate
     derivatives from the linearized internal dynamics) and the output
     error chain (depth one), bundles their top errors, and returns
-    ``-rho * kbar * ebar`` together with diagnostics.  The gains divide
-    by margins floored at ``GAIN_DENOMINATOR_FLOOR``; the diagnostics
-    report the raw margins.  ``strict`` applies the integrator's
-    containment check, ``ControlDiagnostics.check_containment``.
+    ``-rho * kbar * ebar`` together with diagnostics.  Each margin is
+    checked before a gain divides by it, in the order e10, e11, e20,
+    ebar; the first one that is not positive raises ``FunnelViolation``
+    with the time ``t``.  ``strict`` is accepted and ignored: every
+    evaluation is strict.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -289,24 +286,24 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     phi2 = design.phi2.derivatives(float(t), order=0)[0]
 
     margin_e10 = 1.0 - phi0 ** 2 * e10 ** 2
-    k10 = design.kappa0 / max(GAIN_DENOMINATOR_FLOOR, margin_e10)
+    k10 = _gain(design.kappa0, margin_e10, "e10", t)
     k10_d1 = (2.0 * k10
               * (phi0 * phi0_dot * e10 ** 2 + phi0 ** 2 * e10 * e10_d1))
     e11 = e10_d1 + k10 * e10
     e11_d1 = e10_d2 + k10 * e10_d1 + k10_d1 * e10
     margin_e11 = 1.0 - phi1 ** 2 * e11 ** 2
-    k11 = design.kappa1 / max(GAIN_DENOMINATOR_FLOOR, margin_e11)
+    k11 = _gain(design.kappa1, margin_e11, "e11", t)
     e12 = e11_d1 + k11 * e11
 
     e20 = float(lin.k2 @ dy)
     margin_e20 = 1.0 - phi0 ** 2 * e20 ** 2
-    k20 = design.kappa0 / max(GAIN_DENOMINATOR_FLOOR, margin_e20)
+    k20 = _gain(design.kappa0, margin_e20, "e20", t)
     e21 = float(lin.k2 @ dyd) + k20 * e20
 
     ebar = np.array([e12, e21])
     ebar_norm = float(np.linalg.norm(ebar))
     margin_ebar = 1.0 - phi2 ** 2 * ebar_norm ** 2
-    kbar = design.kappa2 / max(GAIN_DENOMINATOR_FLOOR, margin_ebar)
+    kbar = _gain(design.kappa2, margin_ebar, "ebar", t)
     u_fb = -lin.rho * kbar * ebar
 
     diag = ControlDiagnostics(
@@ -317,6 +314,4 @@ def control(t, q, v, state, lin, design, ref, strict=True):
         margin_e20=margin_e20, margin_ebar=margin_ebar,
         u_fb=u_fb,
     )
-    if strict:
-        diag.check_containment(t)
     return u_fb, diag

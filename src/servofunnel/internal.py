@@ -243,8 +243,7 @@ def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01), rho=1.0):
                 + fd_jacobian(lambda yd: _rhs_vector(zero, yf, yd, params), zero))
     p_mat = p1 + q_mat @ p2
 
-    pairs = eig_real_small(q_mat)
-    mu_stable, mu_unstable = pairs[0][0], pairs[1][0]
+    mu_stable, mu_unstable = eig_real_small(q_mat)
     t = np.array([[mu_unstable / params.c, mu_stable / params.c],
                   [1.0, 1.0]])
     tinv = solve_linear(t, np.eye(2))

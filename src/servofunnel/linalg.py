@@ -115,12 +115,11 @@ def kernel_basis(a):
     rows, n = a.shape
     if rows == 0:
         return np.eye(n)
-    s = np.linalg.svd(a, compute_uv=False)
+    _, s, vt = np.linalg.svd(a)
     cutoff = RANK_RTOL * (s.max() if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     if rank < rows:
         raise RankDeficientRows(f"rows are numerically dependent (rank {rank} < {rows})")
-    _, _, vt = np.linalg.svd(a)
     return _canonical_column_signs(vt[rank:].T)
 
 
@@ -146,7 +145,21 @@ def pseudo_inverse_tall(v):
     return solve_linear(v.T @ v, v.T)
 
 
-def _eig_2x2(a):
+def eig_real_small(a):
+    """Ascending eigenvalues of a 2x2 matrix with real simple spectrum.
+
+    Uses the closed-form discriminant and returns ``(smaller, larger)``.
+
+    Raises
+    ------
+    ValueError
+        When ``a`` is not 2x2.
+    ComplexOrRepeatedSpectrum
+        When the spectrum is complex or numerically repeated.
+    """
+    a = _as_matrix(a)
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
     tr = a[0, 0] + a[1, 1]
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     disc = tr * tr - 4.0 * det
@@ -156,52 +169,7 @@ def _eig_2x2(a):
             f"2x2 discriminant {disc:.3e} is not safely positive"
         )
     root = np.sqrt(disc)
-    lams = sorted([(tr - root) / 2.0, (tr + root) / 2.0])
-    pairs = []
-    for lam in lams:
-        # (a - lam I) x = 0; pick the better-conditioned row combination.
-        cand1 = np.array([a[0, 1], lam - a[0, 0]])
-        cand2 = np.array([lam - a[1, 1], a[1, 0]])
-        vec = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-        vec = vec / np.linalg.norm(vec)
-        pairs.append((lam, vec))
-    return pairs
-
-
-def eig_real_small(a):
-    """Eigenvalues and eigenvectors of a small matrix with real simple spectrum.
-
-    Returns a list of ``(eigenvalue, unit eigenvector)`` pairs sorted by
-    ascending eigenvalue.  The 2x2 case uses the closed-form discriminant;
-    larger matrices go through ``numpy.linalg.eig`` with a reality check.
-
-    Raises
-    ------
-    ComplexOrRepeatedSpectrum
-        When the spectrum is complex or numerically repeated.
-    """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 2:
-        return _eig_2x2(a)
-    w, v = np.linalg.eig(a)
-    scale = max(np.abs(w).max(), 1.0)
-    if np.abs(w.imag).max() > 1e-9 * scale:
-        raise ComplexOrRepeatedSpectrum("spectrum has non-real eigenvalues")
-    w = w.real
-    order = np.argsort(w)
-    w, v = w[order], v.real[:, order]
-    if np.min(np.diff(w)) <= 1e-9 * scale:
-        raise ComplexOrRepeatedSpectrum("eigenvalues are numerically repeated")
-    pairs = []
-    for i, lam in enumerate(w):
-        vec = v[:, i] / np.linalg.norm(v[:, i])
-        idx = np.argmax(np.abs(vec) >= 1e-8 * np.abs(vec).max())
-        if vec[idx] < 0.0:
-            vec = -vec
-        pairs.append((float(lam), vec))
-    return pairs
+    return (tr - root) / 2.0, (tr + root) / 2.0
 
 
 def fd_jacobian(fn, x):

@@ -210,8 +210,9 @@ def robot_model(params):
     )
 
 
-def robot_operating_set(params, slide_range=2.0):
-    """Admissible set: crank and rod angles in (0, pi/2), ``cos(gamma) > bound``.
+def robot_operating_set(params):
+    """Admissible set: sliders in (-2, 2), crank and rod angles in (0, pi/2),
+    ``cos(gamma) > bound``.
 
     The arm angle is bounded away from two zeros.  ``cos(gamma) = 2/3`` is
     the zero of the rod-rate denominator ``2 - 3 cos(eta1)`` of the
@@ -225,8 +226,8 @@ def robot_operating_set(params, slide_range=2.0):
     p = params
     bound = max(2.0 / 3.0, (p.I3 + p.m3 * p.X3 ** 2) / (p.m3 * p.L3 * p.X3))
     gamma_max = np.arccos(2.0 / 3.0)
-    lower = np.array([-slide_range, -slide_range, 0.0, 0.0, -gamma_max])
-    upper = np.array([slide_range, slide_range, np.pi / 2.0, np.pi / 2.0, gamma_max])
+    lower = np.array([-2.0, -2.0, 0.0, 0.0, -gamma_max])
+    upper = np.array([2.0, 2.0, np.pi / 2.0, np.pi / 2.0, gamma_max])
     return OperatingSet(lower=lower, upper=upper,
                         predicate=lambda q: np.cos(q[4]) > bound)
 

@@ -406,9 +406,11 @@ def integrate_closed_loop(scn):
 
     The plant uses the scenario's parameter preset while the controller,
     the reference and the inversion always use the reference parameters.
-    Accepted points are logged, and checked for funnel containment, from
-    the ``aux`` of the integrator's evaluation there, so each is evaluated
-    once.  Returns ``(TimeSeries, Metrics)``.
+    Accepted points are logged from the ``aux`` of the integrator's
+    evaluation there, so each is evaluated once.  Every evaluation of the
+    feedback checks funnel containment, so an error leaving its funnel at
+    any integrator stage ends the run with ``FunnelViolation`` at that
+    stage's time.  Returns ``(TimeSeries, Metrics)``.
     """
     scn.validate()
     plant, _ = get_model(f"{scn.model}-{scn.params}")
@@ -422,7 +424,7 @@ def integrate_closed_loop(scn):
     u_zero = np.zeros(plant.dims.inputs)
     if needs_ff:
         sol = _cached_solution(scn, ref)
-        u_ff_fn = bvp_mod.feedforward(sol, t0=ref.t_start)
+        u_ff_fn = bvp_mod.feedforward(sol)
     else:
         u_ff_fn = lambda t: u_zero
 
@@ -440,8 +442,7 @@ def integrate_closed_loop(scn):
         if needs_fb:
             state = funnel_mod.ControllerState(
                 eta2_ref=float(eta_ref(t)), eta2_ref0=eta_ref0)
-            u_fb, diag = funnel_mod.control(t, q, v, state, lin, design, ref,
-                                            strict=False)
+            u_fb, diag = funnel_mod.control(t, q, v, state, lin, design, ref)
         else:
             u_fb, diag = u_zero, None
         u = u_ff + u_fb
@@ -453,8 +454,6 @@ def integrate_closed_loop(scn):
     def on_accept(t, x, aux):
         q, v = x[:5], x[5:]
         u_ff, u_fb, u, lam, diag = aux
-        if diag is not None:
-            diag.check_containment(t)
         y = np.asarray(plant.output(q), dtype=float)
         y_ref = np.asarray(ref(t)[0], dtype=float)
         rows.append((  # in the field order of TimeSeries
@@ -476,19 +475,18 @@ def integrate_closed_loop(scn):
 
 
 def integrate_open_loop(model, u_fn, x0, t_span, rel_tol=DEFAULT_REL_TOL,
-                        abs_tol=DEFAULT_ABS_TOL, max_step=DEFAULT_MAX_STEP,
-                        baumgarte=(DEFAULT_BAUMGARTE, DEFAULT_BAUMGARTE)):
+                        abs_tol=DEFAULT_ABS_TOL, max_step=DEFAULT_MAX_STEP):
     """Integrate the plant under a prescribed input signal.
 
-    Returns ``(t, q, v)`` arrays at accepted steps; useful for inversion
+    The constraint rows carry the default Baumgarte constants.  Returns
+    ``(t, q, v)`` arrays at accepted steps; useful for inversion
     cross-checks and passivity sweeps where no controller runs.
     """
     n = model.dims.n
 
     def rhs(t, x):
         vdot, _ = index1_accelerations(model, x[:n], x[n:],
-                                       np.asarray(u_fn(t), dtype=float),
-                                       baumgarte)
+                                       np.asarray(u_fn(t), dtype=float))
         return np.concatenate([x[n:], vdot]), None
 
     rows = []

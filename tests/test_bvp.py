@@ -119,9 +119,6 @@ def test_bad_grid_rejections():
     with pytest.raises(BadGrid):
         solve_bvp(MODEL, REFERENCE, SELECTION,
                   BvpOptions(t_start=1.0, t_end=0.5))
-    with pytest.raises(BadGrid):
-        solve_bvp(MODEL, REFERENCE, SELECTION,
-                  BvpOptions(intervals=60, coarse_intervals=10))
 
 
 def test_newton_budget_exhaustion_raises():
@@ -164,12 +161,10 @@ def test_solution_boundary_pins(quick_solution):
 
 def test_feedforward_interpolant(quick_solution):
     sol = quick_solution
-    u_fn = feedforward(sol, t0=sol.grid[0])
+    u_fn = feedforward(sol)
     assert np.abs(u_fn(sol.grid) - sol.u).max() < 1e-12
-    assert np.abs(u_fn(np.array([-5.0, -0.51]))).max() == 0.0
+    assert np.abs(u_fn(np.array([-5.0, -0.51])) - sol.u[0]).max() < 1e-12
     assert np.abs(u_fn(np.array([4.0])) - sol.u[-1]).max() < 1e-12
-    unclipped = feedforward(sol)
-    assert np.abs(unclipped(np.array([-5.0])) - sol.u[0]).max() < 1e-12
     single = u_fn(0.7)
     assert np.asarray(single).shape == (2,)
 
@@ -184,14 +179,6 @@ def test_grid_refinement_converges():
     u_fine = feedforward(fine)(ts)
     scale = np.abs(u_fine).max()
     assert np.abs(u_coarse - u_fine).max() <= 0.01 * scale
-
-
-def test_staged_solve_matches_direct(quick_solution):
-    staged = solve_bvp(MODEL, REFERENCE, SELECTION,
-                       BvpOptions(intervals=120, coarse_intervals=60))
-    assert staged.final_residual <= 1e-8
-    scale = max(np.abs(quick_solution.u).max(), 1.0)
-    assert np.abs(staged.u - quick_solution.u).max() < 1e-6 * scale
 
 
 def test_solution_csv_roundtrip(quick_solution, tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from servofunnel import bvp, simulate
 from servofunnel.cli import run_cli
 
 QUICK_CFG = (
@@ -68,6 +69,34 @@ def test_simulate_feedforward_mode(quick_scenario, tmp_path, capsys):
     assert "peak_input:" in out
     assert "step_count:" in out
     assert (out_dir / "c3.csv").exists()
+
+
+def test_simulate_funnel_exit_names_chain_and_time(tmp_path, capsys):
+    # Feedback alone on the reference plant loses the bundled error.
+    cfg = tmp_path / "exit.cfg"
+    cfg.write_text("params = reference\nt_end = 0.7\n")
+    code = run_cli(["simulate", "--scenario", str(cfg), "--mode", "C2",
+                    "--out", str(tmp_path / "sim")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ebar reached its funnel boundary at t = 0.631")
+
+
+def test_compare_solves_one_inversion_for_c1_and_c3(quick_scenario, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setattr(simulate, "_BVP_CACHE", {})
+    calls = []
+    solve = bvp.solve_bvp
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bvp, "solve_bvp", counting_solve)
+    code = run_cli(["compare", "--scenario", str(quick_scenario),
+                    "--out", str(tmp_path / "study")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_compare_produces_study_artifacts(quick_scenario, tmp_path, capsys):
