@@ -4,21 +4,18 @@ The dynamics, the loop-closure constraint and the output pinned to the
 reference form a boundary value problem: differential states are
 discretized by compressed Hermite-Simpson intervals, algebraic rows are
 enforced at the interior and final nodes, and pinned entries at both
-window ends close the count.  The system is square, but its Jacobian is
-rank-deficient: a mode alternating node to node in the multiplier and
-input unknowns lies in its numerical null space.  A damped Newton method
-therefore steps through shifted normal equations of the banded
-finite-difference Jacobian, which filter that mode; the input trajectory
-it returns is the feedforward signal.
+window ends close the count.  A damped Newton method solves the square
+system with one banded LU of the finite-difference Jacobian per step;
+the input trajectory it returns is the feedforward signal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solveh_banded
+from scipy.linalg import solve_banded
 
 from .errors import (
     BadGrid,
@@ -30,6 +27,9 @@ from .linalg import fd_jacobian, solve_linear
 
 #: Convergence threshold on the residual infinity norm.
 RESIDUAL_TOL = 1e-8
+
+#: Newton iteration budget of one inversion.
+MAX_NEWTON_ITERATIONS = 40
 
 #: Smallest admissible number of collocation intervals.
 MIN_INTERVALS = 20
@@ -67,36 +67,38 @@ class BoundarySelection:
 def robot_boundary_preset(params):
     """Window-end pinning for the robot's rest-to-rest inversion.
 
-    At the start the full configuration, both slider rates, the first
-    multiplier and both inputs rest at the initial equilibrium; at the
-    end the arm angle, the second multiplier and both inputs vanish.
+    Nine start pins hold the initial equilibrium: the full configuration
+    ``(s1, s2, alpha, beta, gamma)``, the rate of ``s1``, the first
+    multiplier and both inputs.  The rate of ``s2`` stays free because
+    the servo rows hold the output ``y1 = s2`` at every later node, which
+    already fixes it.  Five end pins hold the final rest: the arm angle ``gamma``,
+    both multipliers and both inputs.  The end is a static equilibrium
+    with the arm spring unloaded, so both multipliers vanish there.
     """
     from . import robot as robot_mod
 
     alpha0, beta0 = robot_mod.initial_configuration(params)
     fixed_start = (
         (0, 0.0), (1, 0.0), (2, alpha0), (3, beta0), (4, 0.0),
-        (5, 0.0), (6, 0.0),
+        (5, 0.0),
         (10, 0.0),
         (12, 0.0), (13, 0.0),
     )
-    fixed_end = ((4, 0.0), (11, 0.0), (12, 0.0), (13, 0.0))
+    fixed_end = ((4, 0.0), (10, 0.0), (11, 0.0), (12, 0.0), (13, 0.0))
     return BoundarySelection(fixed_start=fixed_start, fixed_end=fixed_end)
 
 
 @dataclass(frozen=True)
 class BvpOptions:
-    """Solver window, resolution and Newton iteration budget.
+    """Solver window and resolution.
 
     ``t_start``/``t_end`` default to the reference window padded by
-    ``WINDOW_BEFORE``/``WINDOW_AFTER``.  Newton stops once the residual
-    infinity norm is at most ``RESIDUAL_TOL``.
+    ``WINDOW_BEFORE``/``WINDOW_AFTER``.
     """
 
     t_start: float = None
     t_end: float = None
     intervals: int = 350
-    max_iterations: int = 40
 
 
 @dataclass
@@ -261,77 +263,39 @@ class _Transcription:
         return ab
 
 
-def _normal_banded(ab, res, lower, upper):
-    """Banded normal matrix, gradient and diagonal scale from a banded J.
-
-    The transcription Jacobian carries a parasitic near-null alternating
-    mode in the multiplier and input unknowns whose singular value decays
-    geometrically with the grid; solving the Newton system through
-    shifted normal equations filters that mode while leaving the smooth,
-    well-conditioned part of the step untouched.
-    """
-    size = ab.shape[1]
-    bw = lower + upper
-    hb = np.zeros((bw + 1, size))
-    for s in range(bw + 1):
-        acc = np.zeros(size - s)
-        for k1 in range(s - upper, lower + 1):
-            acc += ab[upper + k1, :size - s] * ab[upper + k1 - s, s:]
-        hb[bw - s, s:] = acc
-    grad = np.zeros(size)
-    for k in range(-upper, lower + 1):
-        c_lo = max(0, -k)
-        c_hi = min(size, size - k)
-        grad[c_lo:c_hi] += ab[upper + k, c_lo:c_hi] * res[c_lo + k:c_hi + k]
-    return hb, grad, float(hb[bw].max())
-
-
-def _newton(trans, z, max_iterations):
+def _newton(trans, z):
+    """Damped Newton with an Armijo line search, one banded LU per step."""
     lower, upper = trans.bandwidths
     res = trans.residual(z)
     norm = np.abs(res).max()
     merit = float(res @ res)
-    shift_floor = None
     iterations = 0
     while norm > RESIDUAL_TOL:
-        if iterations >= max_iterations:
+        if iterations >= MAX_NEWTON_ITERATIONS:
             raise NewtonDiverged(
                 f"residual {norm:.3e} after {iterations} Newton iterations")
         ab = trans.banded_jacobian(z, res)
-        hb, grad, diag_max = _normal_banded(ab, res, lower, upper)
-        if shift_floor is None:
-            shift_floor = 1e-20 * max(diag_max, 1.0)
-            shift = shift_floor
-        accepted = False
-        while not accepted:
-            hb_shift = hb.copy()
-            hb_shift[-1] += shift
+        try:
+            step = solve_banded((lower, upper), ab, -res)
+        except np.linalg.LinAlgError as exc:
+            raise NewtonDiverged(
+                f"singular Jacobian at residual {norm:.3e}") from exc
+        scale = 1.0
+        for _ in range(12):
             try:
-                step = solveh_banded(hb_shift, -grad, lower=False)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                scale = 1.0
-                for _ in range(12):
-                    try:
-                        cand = trans.residual(z + scale * step)
-                        cand_merit = float(cand @ cand)
-                    except NonFiniteEvaluation:
-                        cand_merit = np.inf
-                    if cand_merit < (1.0 - 1e-4 * scale) * merit:
-                        accepted = True
-                        break
-                    scale *= 0.5
-            if not accepted:
-                shift *= 100.0
-                if shift > 1e20 * max(diag_max, 1.0):
-                    raise NewtonDiverged(
-                        f"no descent at residual {norm:.3e}")
+                cand = trans.residual(z + scale * step)
+                cand_merit = float(cand @ cand)
+            except NonFiniteEvaluation:
+                cand_merit = np.inf
+            if cand_merit < (1.0 - 1e-4 * scale) * merit:
+                break
+            scale *= 0.5
+        else:
+            raise NewtonDiverged(f"no descent at residual {norm:.3e}")
         z = z + scale * step
         res = cand
         merit = cand_merit
         norm = np.abs(res).max()
-        shift = max(shift / 10.0, shift_floor)
         iterations += 1
     return z, norm, iterations
 
@@ -391,7 +355,7 @@ def solve_bvp(model, ref, sel, options=None):
     grid = np.linspace(t_start, t_end, options.intervals + 1)
     trans = _Transcription(model, ref, sel, grid)
     z = _initial_guess(model, ref, sel, grid)
-    z, norm, iterations = _newton(trans, z, options.max_iterations)
+    z, norm, iterations = _newton(trans, z)
 
     q, v, lam, u = trans.split(z)
     return CollocationSolution(
