@@ -4,9 +4,12 @@ The dynamics, the loop-closure constraint and the output pinned to the
 reference form a boundary value problem: differential states are
 discretized by compressed Hermite-Simpson intervals, algebraic rows are
 enforced at the interior and final nodes, and pinned entries at both
-window ends close the count.  A damped Newton method solves the square
-system with one banded LU of the finite-difference Jacobian per step;
-the input trajectory it returns is the feedforward signal.
+window ends close the count.  The initial guess is the quasi-static
+equilibrium path, solved for every node by one batched Newton method.
+A damped Newton method then solves the square system with one banded LU
+per step; the banded finite-difference Jacobian takes ``2 * width``
+residual evaluations, since a node's columns reach only its two adjacent
+intervals.  The input trajectory it returns is the feedforward signal.
 """
 
 from __future__ import annotations
@@ -132,48 +135,73 @@ class CollocationSolution:
                 fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
 
 
-def equilibrium(model, y_target, guess):
-    """Steady state holding the output at ``y_target``.
+def _applied_forces(model, q, v, lam, u):
+    """Right-hand side ``f(q, v) + G(q)^T lam + B(q) u``, row by row."""
+    return (np.asarray(model.forces(q, v), dtype=float)
+            + np.einsum("...ij,...i->...j",
+                        np.asarray(model.holonomic_jacobian(q), dtype=float), lam)
+            + np.einsum("...ij,...j->...i",
+                        np.asarray(model.input_map(q), dtype=float), u))
 
-    Newton iteration on ``(q, lam, u)`` for vanishing forces, closed
-    constraints and the pinned output; returns ``(q, v, lam, u)`` with
-    zero velocity.  Raises ``NewtonDiverged`` when 50 iterations do not
-    reach a 1e-10 residual or an iterate goes non-finite.
+
+def equilibrium(model, y_target, guess):
+    """Steady states holding the output at each of the ``y_target`` rows.
+
+    ``y_target`` is ``(m,)`` or ``(..., m)``; ``guess`` is a configuration
+    broadcast against its leading dimensions.  One Newton method runs on
+    the stacked ``(q, lam, u)`` of all targets at once, for vanishing
+    forces, closed constraints and the pinned output.  Targets do not
+    couple, so the Jacobian is block-diagonal: its blocks come from one
+    batched central-difference ``fd_jacobian`` and each is solved with
+    the checked ``solve_linear``.  A target stops moving once its
+    residual reaches 1e-10, so every row ends exactly where a call with
+    that target alone ends.  Returns ``(q, v, lam, u)`` with zero
+    velocity, each with the leading dimensions of ``y_target``.  Raises
+    ``NewtonDiverged`` naming the first target at fault (by its flat
+    index) when 50 iterations do not reach the tolerance, an iterate
+    goes non-finite or a block is singular.
     """
     dims = model.dims
+    n, l = dims.n, dims.holonomic
     y_target = np.asarray(y_target, dtype=float)
-    x = np.concatenate([np.asarray(guess, dtype=float),
-                        np.zeros(dims.holonomic + dims.inputs)])
-    zero_v = np.zeros(dims.n)
+    batch = y_target.shape[:-1]
+    y_rows = y_target.reshape(-1, y_target.shape[-1])
+    q0 = np.broadcast_to(np.asarray(guess, dtype=float), (y_rows.shape[0], n))
+    x = np.concatenate([q0, np.zeros((y_rows.shape[0], l + dims.inputs))], axis=1)
+    zero_v = np.zeros_like(q0)
 
     def residual(state):
-        q = state[:dims.n]
-        lam = state[dims.n:dims.n + dims.holonomic]
-        u = state[dims.n + dims.holonomic:]
-        force = (np.asarray(model.forces(q, zero_v), dtype=float)
-                 + np.asarray(model.holonomic_jacobian(q), dtype=float).T @ lam
-                 + np.asarray(model.input_map(q), dtype=float) @ u)
+        q = state[:, :n]
         return np.concatenate([
-            force,
+            _applied_forces(model, q, zero_v, state[:, n:n + l], state[:, n + l:]),
             np.asarray(model.holonomic(q), dtype=float),
-            np.asarray(model.output(q), dtype=float) - y_target,
-        ])
+            np.asarray(model.output(q), dtype=float) - y_rows,
+        ], axis=1)
 
     for _ in range(50):
         res = residual(x)
-        if not np.all(np.isfinite(res)):
-            raise NewtonDiverged("equilibrium residual went non-finite")
-        if np.abs(res).max() <= 1e-10:
-            q = x[:dims.n]
-            lam = x[dims.n:dims.n + dims.holonomic]
-            u = x[dims.n + dims.holonomic:]
-            return q, zero_v.copy(), lam, u
+        finite = np.isfinite(res).all(axis=1)
+        if not finite.all():
+            raise NewtonDiverged("equilibrium residual went non-finite "
+                                 f"at target {np.argmin(finite)}")
+        active = np.flatnonzero(np.abs(res).max(axis=1) > 1e-10)
+        if active.size == 0:
+            q = x[:, :n].reshape(batch + (n,))
+            lam = x[:, n:n + l].reshape(batch + (l,))
+            u = x[:, n + l:].reshape(batch + (dims.inputs,))
+            return q, np.zeros_like(q), lam, u
         try:
-            step = solve_linear(fd_jacobian(residual, x), res)
-        except (SingularMatrix, NonFiniteEvaluation) as exc:
+            jac = fd_jacobian(residual, x)
+        except NonFiniteEvaluation as exc:
             raise NewtonDiverged(f"equilibrium Newton failed: {exc}") from exc
-        x = x - step
-    raise NewtonDiverged("equilibrium Newton did not converge in 50 iterations")
+        for k in active:
+            try:
+                x[k] -= solve_linear(jac[k], res[k])
+            except (SingularMatrix, NonFiniteEvaluation) as exc:
+                raise NewtonDiverged(
+                    f"equilibrium Newton failed at target {k}: {exc}") from exc
+    raise NewtonDiverged("equilibrium Newton did not converge in 50 iterations "
+                         f"at target {active[0]}")
 
 
 class _Transcription:
@@ -205,13 +233,8 @@ class _Transcription:
                 nodes[:, 2 * n:2 * n + l], nodes[:, 2 * n + l:])
 
     def _acceleration(self, q, v, lam, u):
-        model = self.model
-        mass = np.asarray(model.mass_matrix(q), dtype=float)
-        rhs = (np.asarray(model.forces(q, v), dtype=float)
-               + np.einsum("...ij,...i->...j",
-                           np.asarray(model.holonomic_jacobian(q), dtype=float), lam)
-               + np.einsum("...ij,...j->...i",
-                           np.asarray(model.input_map(q), dtype=float), u))
+        mass = np.asarray(self.model.mass_matrix(q), dtype=float)
+        rhs = _applied_forces(self.model, q, v, lam, u)
         return np.linalg.solve(mass, rhs[..., None])[..., 0]
 
     def residual(self, z):
@@ -245,21 +268,39 @@ class _Transcription:
         return n_start + 2 * self.n - 1, 2 * self.width - 1 - n_start
 
     def banded_jacobian(self, z, base):
-        """Forward-difference Jacobian in banded storage, by column groups."""
+        """Forward-difference Jacobian in banded storage, by column groups.
+
+        A node's columns reach only the rows of its two adjacent intervals
+        (plus the pins at a window end), so perturbing one entry at every
+        other node at once keeps the groups' rows apart (Curtis, Powell &
+        Reid 1974): ``2 * width`` residual evaluations give the whole
+        band, 28 for the robot.  Each difference equals that of
+        perturbing its column alone, bit for bit.  ``base`` is the
+        residual at ``z``; the result suits ``solve_banded`` with
+        ``bandwidths``.
+        """
         lower, upper = self.bandwidths
-        stride = lower + upper + 1
-        ab = np.zeros((stride, self.size))
+        width = self.width
         steps = 1e-7 * np.maximum(1.0, np.abs(z))
-        for group in range(stride):
-            cols = np.arange(group, self.size, stride)
-            zp = z.copy()
-            zp[cols] += steps[cols]
-            diff = self.residual(zp) - base
-            for c in cols:
-                r_lo = max(0, c - upper)
-                r_hi = min(self.size, c + lower + 1)
-                rows = np.arange(r_lo, r_hi)
-                ab[upper + rows - c, c] = diff[rows] / steps[c]
+        rows = np.arange(self.size)
+        # Rows of interval i depend on nodes i and i + 1 only.  The start
+        # pins count as interval -1 and the end pins as interval N, so
+        # one of their two nodes lies off the grid.
+        interval = (rows - len(self.sel.fixed_start)) // width
+        ab = np.zeros((lower + upper + 1, self.size))
+        for parity in (0, 1):
+            # Of each row's two nodes, the one of this parity.
+            node = interval + (interval - parity) % 2
+            on_grid = (node >= 0) & (node < self.grid.size)
+            for entry in range(width):
+                group = slice(parity * width + entry, None, 2 * width)
+                zp = z.copy()
+                zp[group] += steps[group]
+                diff = self.residual(zp) - base
+                cols = node * width + entry
+                hit = on_grid & (rows - cols <= lower) & (cols - rows <= upper)
+                r, c = rows[hit], cols[hit]
+                ab[upper + r - c, c] = diff[r] / steps[c]
         return ab
 
 
@@ -303,10 +344,11 @@ def _newton(trans, z):
 def _initial_guess(model, ref, sel, grid):
     """Quasi-static guess: the equilibrium path tracking the reference.
 
-    Solves the holding equilibrium at every node time, warm-started from
-    the previous node, and differentiates the resulting configuration
-    path for the velocity guess.  Closure and servo rows are then exact
-    at the guess and only the dynamic defects remain.
+    One batched ``equilibrium`` call solves the holding equilibrium at
+    every node time, each node starting from the pinned start
+    configuration (zero where unpinned), and the resulting configuration
+    path is differentiated for the velocity guess.  Closure and servo
+    rows are then exact at the guess and only the dynamic defects remain.
     """
     dims = model.dims
     q_hint = np.zeros(dims.n)
@@ -314,21 +356,10 @@ def _initial_guess(model, ref, sel, grid):
         if i < dims.n:
             q_hint[i] = t
 
-    width = 2 * dims.n + dims.holonomic + dims.inputs
-    nodes = np.zeros((grid.size, width))
     y_path = np.asarray(ref(grid)[0], dtype=float)
-    q_prev = q_hint
-    for k in range(grid.size):
-        q_k, _, lam_k, u_k = equilibrium(model, y_path[k], q_prev)
-        nodes[k, :dims.n] = q_k
-        nodes[k, 2 * dims.n:2 * dims.n + dims.holonomic] = lam_k
-        nodes[k, 2 * dims.n + dims.holonomic:] = u_k
-        q_prev = q_k
-
-    q_path = nodes[:, :dims.n]
-    v_path = np.gradient(q_path, grid, axis=0)
-    nodes[:, dims.n:2 * dims.n] = v_path
-    return nodes.ravel()
+    q, _, lam, u = equilibrium(model, y_path, q_hint)
+    v = np.gradient(q, grid, axis=0)
+    return np.concatenate([q, v, lam, u], axis=1).ravel()
 
 
 def solve_bvp(model, ref, sel, options=None):

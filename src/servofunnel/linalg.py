@@ -1,17 +1,16 @@
 """Small dense linear-algebra and differentiation kernels.
 
 Matrices and vectors are plain float64 numpy arrays.  All problems handled
-here are tiny (at most a few dozen rows), so the routines favour explicit
-failure modes over speed: every operation raises a dedicated exception when
-its rank or regularity precondition fails numerically.
+here are tiny (at most a few dozen rows).  Every operation raises a
+dedicated exception when its rank or regularity precondition fails
+numerically; the LU kernels call LAPACK's ``getrf``/``getrs`` directly,
+because the per-call cost of the generic wrappers dominates at this size.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import (
     ComplexOrRepeatedSpectrum,
@@ -37,22 +36,20 @@ def _as_matrix(a, name="matrix"):
 def lu_factor_checked(a):
     """LU-factorise a square matrix, raising ``SingularMatrix`` on tiny pivots.
 
-    A pivot counts as tiny when its magnitude falls below ``PIVOT_RTOL``
-    times the largest pivot magnitude of the factorisation.  A matrix
-    holding NaN or infinity raises ``NonFiniteEvaluation``.
+    A pivot counts as tiny when it is exactly zero or its magnitude falls
+    below ``PIVOT_RTOL`` times the largest pivot magnitude of the
+    factorisation.  A matrix holding NaN or infinity raises
+    ``NonFiniteEvaluation``.  The factors equal those of
+    ``scipy.linalg.lu_factor`` bit for bit.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteEvaluation("matrix to factorise is not finite")
-    with warnings.catch_warnings():
-        # scipy warns on exactly singular input; the pivot check below
-        # turns that case into the documented exception instead.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    lu, piv, info = dgetrf(a)
     pivots = np.abs(np.diag(lu))
-    if pivots.size and pivots.min() < PIVOT_RTOL * pivots.max():
+    if info > 0 or (pivots.size and pivots.min() < PIVOT_RTOL * pivots.max()):
         raise SingularMatrix(
             f"pivot ratio {pivots.min():.3e} / {pivots.max():.3e} below {PIVOT_RTOL:g}"
         )
@@ -81,7 +78,7 @@ def solve_linear(a, b):
         raise ValueError(f"shape mismatch: a is {lu.shape}, b is {b.shape}")
     if not np.isfinite(b).all():
         raise NonFiniteEvaluation("right-hand side is not finite")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return dgetrs(lu, piv, b)[0]
 
 
 def _canonical_column_signs(v):
@@ -175,28 +172,37 @@ def eig_real_small(a):
 def fd_jacobian(fn, x):
     """Central-difference Jacobian of ``fn`` at ``x``.
 
-    The step for component ``i`` is ``1e-6 * max(1, |x[i]|)``.
+    ``x`` is ``(n,)`` or carries leading batch dimensions, ``(..., n)``,
+    which ``fn`` maps row by row to ``(..., m)``; the result is
+    ``(..., m, n)``.  Each component is perturbed in every batch member
+    at once, so a batch costs the ``2 n + 1`` evaluations of one point.
+    The step for component ``i`` is ``1e-6 * max(1, |x[..., i]|)``.
 
     Raises
     ------
     NonFiniteEvaluation
-        When any evaluation of ``fn`` returns NaN or infinity.
+        When any evaluation of ``fn`` returns NaN or infinity; for a batch
+        the message names the first batch index at fault.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
+    batch = x.shape[:-1]
 
     def eval_checked(xi):
-        f = np.asarray(fn(xi), dtype=float).ravel()
-        if not np.all(np.isfinite(f)):
-            raise NonFiniteEvaluation("function evaluation returned a non-finite value")
+        f = np.asarray(fn(xi), dtype=float).reshape(batch + (-1,))
+        bad = ~np.isfinite(f)
+        if bad.any():
+            where = tuple(np.argwhere(bad)[0][:-1].tolist())
+            raise NonFiniteEvaluation("function evaluation returned a non-finite value"
+                                      + (f" at batch index {where}" if batch else ""))
         return f
 
     f0 = eval_checked(x)
-    jac = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        hi = 1e-6 * max(1.0, abs(x[i]))
+    jac = np.empty(f0.shape + x.shape[-1:])
+    for i in range(x.shape[-1]):
+        hi = 1e-6 * np.maximum(1.0, np.abs(x[..., i]))
         xp = x.copy()
         xm = x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        jac[:, i] = (eval_checked(xp) - eval_checked(xm)) / (2.0 * hi)
+        xp[..., i] += hi
+        xm[..., i] -= hi
+        jac[..., i] = (eval_checked(xp) - eval_checked(xm)) / (2.0 * hi)[..., None]
     return jac

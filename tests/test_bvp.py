@@ -64,6 +64,58 @@ def test_equilibrium_rejects_unreachable_target():
         equilibrium(MODEL, np.array([10.0, 1.5]), q0)
 
 
+def _node_targets():
+    """Output targets of every node of the default 350-interval grid."""
+    grid = np.linspace(REFERENCE.t_start - bvp.WINDOW_BEFORE,
+                       REFERENCE.t_end + bvp.WINDOW_AFTER, 351)
+    return np.asarray(REFERENCE(grid)[0])
+
+
+def test_batched_equilibrium_equals_per_target_calls():
+    q0, _ = initial_state(PARAMS)
+    targets = _node_targets()
+    q, v, lam, u = equilibrium(MODEL, targets, q0)
+    assert q.shape == (351, 5) and v.shape == (351, 5)
+    assert lam.shape == (351, 2) and u.shape == (351, 2)
+    assert not v.any()
+    for k, y in enumerate(targets):
+        qk, _, lamk, uk = equilibrium(MODEL, y, q0)
+        assert np.abs(np.concatenate([q[k] - qk, lam[k] - lamk, u[k] - uk])).max() <= 1e-12
+
+
+def test_batched_equilibrium_names_unreachable_target():
+    q0, _ = initial_state(PARAMS)
+    targets = _node_targets()[::50].copy()
+    targets[3] = (10.0, 1.5)
+    with pytest.raises(NewtonDiverged, match=r"target 3\b"):
+        equilibrium(MODEL, targets, q0)
+
+
+def test_grouped_jacobian_equals_per_column_differences(monkeypatch):
+    grid = np.linspace(-0.5, 2.0, 21)
+    trans = _Transcription(MODEL, REFERENCE, SELECTION, grid)
+    z = _initial_guess(MODEL, REFERENCE, SELECTION, grid)
+    base = trans.residual(z)
+    steps = 1e-7 * np.maximum(1.0, np.abs(z))
+    dense = np.empty((trans.size, trans.size))
+    for c in range(trans.size):
+        zp = z.copy()
+        zp[c] += steps[c]
+        dense[:, c] = (trans.residual(zp) - base) / steps[c]
+
+    calls = []
+    residual = trans.residual
+    monkeypatch.setattr(trans, "residual", lambda zp: calls.append(1) or residual(zp))
+    ab = trans.banded_jacobian(z, base)
+    assert len(calls) == 28
+
+    lower, upper = trans.bandwidths
+    r, c = np.indices(dense.shape)
+    band = (r - c <= lower) & (c - r <= upper)
+    assert not dense[~band].any()
+    assert np.array_equal(ab[upper + r[band] - c[band], c[band]], dense[band])
+
+
 def test_boundary_selection_validation():
     with pytest.raises(ValueError):
         BoundarySelection(fixed_start=((0, 0.0), (0, 1.0)), fixed_end=())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from servofunnel.errors import (
     ComplexOrRepeatedSpectrum,
@@ -36,12 +37,27 @@ def test_solve_linear_multiple_rhs():
     assert np.allclose(a @ solve_linear(a, b), b, atol=1e-10)
 
 
+def test_solve_linear_bitwise_equals_scipy_lu():
+    rng = np.random.default_rng(5)
+    for n in (7, 9):
+        for _ in range(20):
+            a = rng.standard_normal((n, n))
+            lu, piv = lu_factor_checked(a)
+            lu_ref, piv_ref = scipy.linalg.lu_factor(a)
+            assert np.array_equal(lu, lu_ref) and np.array_equal(piv, piv_ref)
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                x = solve_linear(a, b)
+                x_ref = scipy.linalg.lu_solve((lu_ref, piv_ref), b)
+                assert x.shape == b.shape
+                assert np.array_equal(x, x_ref)
+
+
 def test_singular_matrix_detected():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrix):
-        lu_factor_checked(a)
-    with pytest.raises(SingularMatrix):
-        solve_linear(a, np.ones(2))
+    for a in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3))):
+        with pytest.raises(SingularMatrix):
+            lu_factor_checked(a)
+        with pytest.raises(SingularMatrix):
+            solve_linear(a, np.ones(a.shape[0]))
 
 
 def test_solve_linear_shape_checks():
@@ -155,7 +171,20 @@ def test_fd_jacobian_matches_analytic():
     assert np.abs(fd_jacobian(fn, x) - expected).max() < 1e-8
 
 
+def test_fd_jacobian_batch_equals_row_calls():
+    def fn(x):
+        return np.stack([x[..., 0] ** 2, np.sin(x[..., 1]), x[..., 0] * x[..., 1]], axis=-1)
+
+    xs = np.array([[0.7, -0.3], [2.5, 1.1], [-30.0, 0.0], [0.0, 4.0]]).reshape(2, 2, 2)
+    jac = fd_jacobian(fn, xs)
+    assert jac.shape == (2, 2, 3, 2)
+    for idx in np.ndindex(2, 2):
+        assert np.array_equal(jac[idx], fd_jacobian(fn, xs[idx]))
+
+
 def test_fd_jacobian_non_finite():
     with np.errstate(divide="ignore"):
         with pytest.raises(NonFiniteEvaluation):
             fd_jacobian(lambda x: np.array([1.0 / x[0]]), np.zeros(1))
+        with pytest.raises(NonFiniteEvaluation, match=r"batch index \(2,\)"):
+            fd_jacobian(lambda x: 1.0 / x, np.array([[1.0], [2.0], [0.0]]))
