@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import GammaSingular, GramSingular
 from .linalg import fd_jacobian
 
 #: Infinity-norm tolerance on ``H - B^T`` for the colocation test.
@@ -124,6 +125,7 @@ class ValidationReport:
     holonomic_jacobian_defect: np.ndarray
     output_jacobian_defect: np.ndarray
     jacobian_dot_defect: np.ndarray
+    det_gamma: np.ndarray
     failures: list = field(default_factory=list)
 
     @property
@@ -139,6 +141,7 @@ class ValidationReport:
             f"max holonomic Jacobian defect: {self.holonomic_jacobian_defect.max():.3e}",
             f"max output Jacobian defect: {self.output_jacobian_defect.max():.3e}",
             f"max Jacobian time-derivative defect: {self.jacobian_dot_defect.max():.3e}",
+            f"min |det Gamma|: {np.abs(self.det_gamma).min():.3e}",
             f"passed: {self.passed}",
         ]
         lines += [f"failure: {msg}" for msg in self.failures]
@@ -151,9 +154,14 @@ def validate_model(model, operating_set, samples=100, seed=0):
     Verifies that the mass matrix is symmetric positive definite, that the
     provided constraint and output Jacobians match finite differences of
     ``holonomic`` and ``output``, and that ``holonomic_jacobian_dot``
-    matches the directional derivative of ``holonomic_jacobian``.
-    Failures are collected in the report, not raised.
+    matches the directional derivative of ``holonomic_jacobian``.  The
+    high-gain matrix ``Gamma`` must be invertible at every sample, with
+    one sign of ``det(Gamma)`` over all of them, so the vector relative
+    degree is well defined on the whole set.  Failures are collected in
+    the report, not raised.
     """
+    from .internal import high_gain  # local: model -> internal -> robot -> model
+
     rng = np.random.default_rng(seed)
     qs = operating_set.sample(rng, samples)
     vs = rng.standard_normal(qs.shape)
@@ -167,6 +175,7 @@ def validate_model(model, operating_set, samples=100, seed=0):
         holonomic_jacobian_defect=np.empty(samples),
         output_jacobian_defect=np.empty(samples),
         jacobian_dot_defect=np.empty(samples),
+        det_gamma=np.zeros(samples),
     )
 
     for k in range(samples):
@@ -217,6 +226,17 @@ def validate_model(model, operating_set, samples=100, seed=0):
                     f"sample {k}: {label} defect {defect:.3e} exceeds {JACOBIAN_TOL:g}"
                 )
 
+        try:
+            report.det_gamma[k] = np.linalg.det(high_gain(model, q).gamma)
+        except (GramSingular, GammaSingular) as exc:
+            report.failures.append(f"sample {k}: {exc}")
+
+    signs = set(np.sign(report.det_gamma[report.det_gamma != 0.0]))
+    if len(signs) > 1:
+        report.failures.append(
+            "high-gain determinant changes sign on the operating set: "
+            f"{report.det_gamma.min():.3e} to {report.det_gamma.max():.3e}"
+        )
     return report
 
 

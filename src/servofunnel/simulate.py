@@ -4,8 +4,9 @@ Integrates the constrained robot as an index-1 system (saddle solve with
 Baumgarte stabilization) under one of three controller configurations:
 feedforward plus funnel feedback, funnel feedback alone, or feedforward
 alone.  An embedded Runge-Kutta 4(5) pair with PI step control produces
-the accepted-step time series; metrics and CSV emission close the loop
-for the command line driver.
+the accepted-step time series; its dense output at each step midpoint
+carries the funnel check between accepted points.  Metrics and CSV
+emission serve the command line.
 """
 
 from __future__ import annotations
@@ -29,11 +30,17 @@ from .errors import (
 from .linalg import solve_linear
 from .model import get_model
 
-#: Integrator defaults: tolerances, step ceiling and underflow floor.
+#: Integrator defaults: tolerances, step ceiling and underflow floor.  The
+#: closed-loop ceiling only bounds the steps ``rel_tol``/``abs_tol`` choose.
 DEFAULT_REL_TOL = 1e-6
 DEFAULT_ABS_TOL = 1e-8
-DEFAULT_MAX_STEP = 1e-3
+DEFAULT_MAX_STEP = 1e-2
 MIN_STEP = 1e-12
+
+#: Step ceiling of the open-loop replay.  The replay measures how well
+#: the inversion tracks, so its step stays fine enough that the
+#: integrator adds nothing visible to that figure.
+OPEN_LOOP_MAX_STEP = 1e-3
 
 #: Default Baumgarte stabilization constants (both time constants 0.05 s).
 DEFAULT_BAUMGARTE = 20.0
@@ -327,6 +334,15 @@ _DP_A = [
 ]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+# Shampine's weights of the free fourth-order dense output at the step
+# midpoint, ``x(t + h/2) = x + h * sum(_DP_MID[i] * k[i])`` (Hairer,
+# Norsett & Wanner, Solving ODEs I, II.6).
+_DP_MID = 0.5 * np.array([6025192743 / 30085553152, 0.0,
+                          51252292925 / 65400821598,
+                          -2691868925 / 45128329728,
+                          187940372067 / 1594534317056,
+                          -1776094331 / 19743644256,
+                          11237099 / 235043384])
 
 
 def _timed(fn, t, *args):
@@ -339,14 +355,19 @@ def _timed(fn, t, *args):
         raise
 
 
-def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept):
+def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
+          check=None):
     """Adaptive embedded 4(5) integration with PI step-size control.
 
     ``rhs(t, x)`` returns ``(xdot, aux)``; ``on_accept(t, x, aux)`` runs
     at the start and after every accepted step with the ``aux`` of the
-    last (FSAL) stage, which sits at the accepted point.  Library errors
-    from either callable get the stage time; raises ``StepSizeUnderflow``
-    when the controller would step below ``MIN_STEP``.
+    last (FSAL) stage, which sits at the accepted point.  ``check(t, x)``,
+    when given, runs on the dense output at the midpoint of every
+    accepted step, before that step's ``on_accept``.  Library errors from
+    any callable get the time it was called at, so an error raised by a
+    trial stage ends the run even when error control would have rejected
+    that step.  Raises ``StepSizeUnderflow`` when the controller would
+    step below ``MIN_STEP``.
     """
     t = float(t_start)
     x = np.asarray(x0, dtype=float).copy()
@@ -371,6 +392,10 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept):
         err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
         err = max(err, 1e-10)
         if err <= 1.0:
+            if check is not None:
+                x_mid = x + h * sum(b * k[j]
+                                    for j, b in enumerate(_DP_MID) if b)
+                _timed(check, t + 0.5 * h, x_mid)
             t = t + h
             x = x5
             _timed(on_accept, t, x, stage_aux)
@@ -408,9 +433,13 @@ def integrate_closed_loop(scn):
     the reference and the inversion always use the reference parameters.
     Accepted points are logged from the ``aux`` of the integrator's
     evaluation there, so each is evaluated once.  Every evaluation of the
-    feedback checks funnel containment, so an error leaving its funnel at
-    any integrator stage ends the run with ``FunnelViolation`` at that
-    stage's time.  Returns ``(TimeSeries, Metrics)``.
+    feedback checks funnel containment: at every integrator stage, the
+    stages of steps that error control then rejects included, because
+    the gains are undefined outside a funnel; and, with no saddle solve,
+    at the dense output of every accepted step's midpoint.  An error
+    leaving its funnel at any of these points ends the run with
+    ``FunnelViolation`` at that point's time.  Returns
+    ``(TimeSeries, Metrics)``.
     """
     scn.validate()
     plant, _ = get_model(f"{scn.model}-{scn.params}")
@@ -436,13 +465,16 @@ def integrate_closed_loop(scn):
         eta_ref = funnel_mod.reference_internal(lin, ref)
         eta_ref0 = float(eta_ref(0.0))
 
+    def feedback(t, q, v):
+        state = funnel_mod.ControllerState(eta2_ref=float(eta_ref(t)),
+                                           eta2_ref0=eta_ref0)
+        return funnel_mod.control(t, q, v, state, lin, design, ref)
+
     def rhs(t, x):
         q, v = x[:5], x[5:]
         u_ff = u_ff_fn(t)
         if needs_fb:
-            state = funnel_mod.ControllerState(
-                eta2_ref=float(eta_ref(t)), eta2_ref0=eta_ref0)
-            u_fb, diag = funnel_mod.control(t, q, v, state, lin, design, ref)
+            u_fb, diag = feedback(t, q, v)
         else:
             u_fb, diag = u_zero, None
         u = u_ff + u_fb
@@ -467,7 +499,8 @@ def integrate_closed_loop(scn):
     q0, v0 = robot_mod.initial_state(ctrl_params)
     x0 = np.concatenate([q0, v0])
     _rk45(rhs, 0.0, scn.t_end, x0, scn.rel_tol, scn.abs_tol, scn.max_step,
-          on_accept)
+          on_accept,
+          check=(lambda t, x: feedback(t, x[:5], x[5:])) if needs_fb else None)
 
     ts = TimeSeries(*(np.array(column) for column in zip(*rows)))
     ts.validate()
@@ -475,12 +508,13 @@ def integrate_closed_loop(scn):
 
 
 def integrate_open_loop(model, u_fn, x0, t_span, rel_tol=DEFAULT_REL_TOL,
-                        abs_tol=DEFAULT_ABS_TOL, max_step=DEFAULT_MAX_STEP):
+                        abs_tol=DEFAULT_ABS_TOL, max_step=OPEN_LOOP_MAX_STEP):
     """Integrate the plant under a prescribed input signal.
 
-    The constraint rows carry the default Baumgarte constants.  Returns
-    ``(t, q, v)`` arrays at accepted steps; useful for inversion
-    cross-checks and passivity sweeps where no controller runs.
+    The constraint rows carry the default Baumgarte constants, and no
+    funnel is checked.  Returns ``(t, q, v)`` arrays at accepted steps;
+    useful for inversion cross-checks and passivity sweeps where no
+    controller runs.
     """
     n = model.dims.n
 

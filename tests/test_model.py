@@ -13,6 +13,7 @@ from servofunnel.model import (
     two_mass_model,
     validate_model,
 )
+from servofunnel.robot import RobotParams
 
 
 def test_mbs_dims_rejects_bad_counts():
@@ -90,3 +91,20 @@ def test_validate_model_catches_wrong_jacobian():
     report = validate_model(broken, operating_set, samples=10)
     assert not report.passed
     assert any("output" in msg for msg in report.failures)
+
+
+def test_validate_model_catches_a_set_across_the_high_gain_zero():
+    """Widen the robot's arm-angle range past the determinant's zero
+    ``cos(gamma) = (I3 + m3 X3^2) / (m3 L3 X3)``: the high-gain
+    determinant changes sign between samples, so validation fails."""
+    p = RobotParams.reference()
+    model, operating_set = get_model("robot-reference")
+    gamma_zero = np.arccos((p.I3 + p.m3 * p.X3 ** 2) / (p.m3 * p.L3 * p.X3))
+    lower = operating_set.lower.copy()
+    upper = operating_set.upper.copy()
+    lower[4], upper[4] = -1.3 * gamma_zero, 1.3 * gamma_zero
+    report = validate_model(model, OperatingSet(lower=lower, upper=upper),
+                            samples=50)
+    assert not report.passed
+    assert report.det_gamma.min() < 0.0 < report.det_gamma.max()
+    assert any("changes sign" in msg for msg in report.failures)

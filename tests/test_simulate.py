@@ -5,8 +5,15 @@ import pathlib
 import numpy as np
 import pytest
 
+from servofunnel.bvp import (
+    BvpOptions,
+    feedforward,
+    robot_boundary_preset,
+    solve_bvp,
+)
 from servofunnel.errors import (
     ConfigError,
+    FunnelViolation,
     NonFiniteEvaluation,
     SaddleSingular,
     StepSizeUnderflow,
@@ -25,6 +32,7 @@ from servofunnel.robot import (
     end_effector,
     initial_state,
     mass_matrix,
+    output,
     robot_model,
 )
 from servofunnel.simulate import (
@@ -143,6 +151,92 @@ def test_integrator_errors_carry_the_stage_time():
     assert accepted[-1] <= 0.3 < caught.value.time <= accepted[-1] + 0.01
     assert str(caught.value) == (f"right-hand side is not finite "
                                  f"at t = {caught.value.time:.6f}")
+
+
+def test_midpoint_check_catches_an_exit_between_stages():
+    """x' = 2t with max_step 0.5: the longest accepted step has no stage
+    within 0.1 of x = t^2 at its midpoint.  A bound that excludes a band
+    of half-width 0.05 there holds at every stage and fails only on the
+    dense output at the midpoint; the chord would miss it too, since it
+    lies h^2/4 = 0.0625 above the midpoint value."""
+    rate = lambda t: np.array([2.0 * t])
+    accepted = []
+    _rk45(lambda t, x: (rate(t), None), 0.0, 1.0, np.zeros(1), 1e-6, 1e-8,
+          0.5, lambda t, x, aux: accepted.append(t))
+    steps = np.diff(accepted)
+    k = int(np.argmax(steps))
+    t_mid = accepted[k] + 0.5 * steps[k]
+
+    def bound(t, x):
+        if abs(x[0] - t_mid ** 2) < 0.2 * steps[k] ** 2:
+            raise FunnelViolation("x reached its bound")
+
+    def rhs(t, x):
+        bound(t, x)
+        return rate(t), None
+
+    t_end, _ = _rk45(rhs, 0.0, 1.0, np.zeros(1), 1e-6, 1e-8, 0.5,
+                     lambda t, x, aux: None)
+    assert t_end == 1.0  # the stages alone never leave the bound
+    with pytest.raises(FunnelViolation) as caught:
+        _rk45(rhs, 0.0, 1.0, np.zeros(1), 1e-6, 1e-8, 0.5,
+              lambda t, x, aux: None, check=bound)
+    assert caught.value.time == pytest.approx(t_mid, abs=1e-15)
+
+
+def test_a_rejected_trial_stage_outside_its_funnel_ends_the_run():
+    """A sharp input pulse makes error control reject steps.  x rises
+    from 0 to 1 and every stage of an accepted step keeps x above
+    -1e-6, but a rejected trial's stage undershoots it.  Outside a
+    funnel the feedback gains are undefined, so that stage ends the run
+    although its step would have been discarded."""
+    width = 0.01
+    rate = lambda t: np.array([np.exp(-((t - 0.5) / width) ** 2)
+                               / (width * np.sqrt(np.pi))])
+    stages = []
+    accepted = []
+
+    def record(t, x):
+        stages.append((t, x[0]))
+        return rate(t), None
+
+    _rk45(record, 0.0, 1.0, np.zeros(1), 1e-6, 1e-8, 0.1,
+          lambda t, x, aux: accepted.append(t))
+    # After the first evaluation each trial step evaluates six stages, the
+    # last at its end time, which is logged when the step is accepted.
+    trials = [stages[i:i + 6] for i in range(1, len(stages), 6)]
+    kept = [x for trial in trials if trial[-1][0] in accepted
+            for _, x in trial]
+    rejected = [stage for trial in trials if trial[-1][0] not in accepted
+                for stage in trial]
+    assert min(kept) > -1e-6
+    first_out = next(t for t, x in rejected if x <= -1e-6)
+
+    def rhs(t, x):
+        if not x[0] > -1e-6:
+            raise FunnelViolation("x reached its funnel boundary")
+        return rate(t), None
+
+    with pytest.raises(FunnelViolation) as caught:
+        _rk45(rhs, 0.0, 1.0, np.zeros(1), 1e-6, 1e-8, 0.1,
+              lambda t, x, aux: None)
+    assert caught.value.time == first_out
+
+
+def test_open_loop_replay_keeps_its_fine_step():
+    """The replay of the paper inversion measures the inversion, not the
+    integrator.  Its own 1e-3 step ceiling caps every step of the 2.5 s
+    window, and the deviation is 8.291234158552818e-5 m bit for bit; the
+    closed loop's 1e-2 ceiling would move it to 8.29395e-5 m."""
+    sol = solve_bvp(MODEL, ReferenceSignal(PARAMS),
+                    robot_boundary_preset(PARAMS), BvpOptions(intervals=350))
+    t, qs, _ = integrate_open_loop(MODEL, feedforward(sol),
+                                   np.concatenate([sol.q[0], sol.v[0]]),
+                                   (sol.grid[0], sol.grid[-1]))
+    ref = ReferenceSignal(PARAMS)
+    deviation = np.abs(output(PARAMS, qs) - np.asarray(ref(t)[0])).max()
+    assert t.size - 1 == 2500
+    assert deviation == 8.291234158552818e-05
 
 
 def test_free_motion_dissipates_energy():
