@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .errors import (
@@ -374,9 +373,9 @@ def solve_bvp(model, ref, sel, options=None):
     t_start = options.t_start
     t_end = options.t_end
     if t_start is None:
-        t_start = getattr(ref, "t_start", 0.0) - WINDOW_BEFORE
+        t_start = ref.t_start - WINDOW_BEFORE
     if t_end is None:
-        t_end = getattr(ref, "t_end", 0.0) + WINDOW_AFTER
+        t_end = ref.t_end + WINDOW_AFTER
     if not t_end > t_start:
         raise BadGrid(f"window [{t_start}, {t_end}] is empty")
     if options.intervals < MIN_INTERVALS:
@@ -398,14 +397,14 @@ def solve_bvp(model, ref, sel, options=None):
 def feedforward(sol):
     """Input interpolant of a converged solution.
 
-    Cubic interpolation through the grid inputs, held at the end values
-    beyond the window.  The signal is the full non-causal feedforward:
-    whatever part of the window a run covers is applied as solved.
+    Linear between the nodes, as the transcription defines the input, and
+    held at the end values beyond the window.  The signal is the full
+    non-causal feedforward: whatever part of the window a run covers is
+    applied as solved.
     """
-    spline = CubicSpline(sol.grid, sol.u, axis=0)
-    lo, hi = sol.grid[0], sol.grid[-1]
+    columns = sol.u.T.copy()
 
     def u_ff(t):
-        return spline(np.clip(np.asarray(t, dtype=float), lo, hi))
+        return np.stack([np.interp(t, sol.grid, u) for u in columns], axis=-1)
 
     return u_ff

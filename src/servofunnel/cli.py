@@ -15,9 +15,6 @@ import sys
 
 import numpy as np
 
-from . import bvp as bvp_mod
-from . import funnel as funnel_mod
-from . import robot as robot_mod
 from . import simulate as sim_mod
 from .errors import ConfigError, ServoFunnelError
 from .model import get_model, validate_model
@@ -91,13 +88,7 @@ def _cmd_invert(args):
     scn = sim_mod.parse_scenario(args.scenario)
     out_dir = args.out or scn.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    params = robot_mod.RobotParams.reference()
-    ref = funnel_mod.ReferenceSignal(params)
-    model, _ = get_model("robot-reference")
-    sel = bvp_mod.robot_boundary_preset(params)
-    opts = bvp_mod.BvpOptions(t_start=scn.bvp_t0, t_end=scn.bvp_tf,
-                              intervals=scn.bvp_n)
-    sol = bvp_mod.solve_bvp(model, ref, sel, opts)
+    sol = sim_mod.solve_inversion(scn)
     path = os.path.join(out_dir, "bvp.csv")
     sol.write_csv(path)
     print(f"grid_points: {sol.grid.size}")

@@ -116,6 +116,7 @@ class ReferenceSignal:
     The tool tip glides from ``r_start`` to ``r_end`` between ``t_start``
     and ``t_end`` under the smooth timing law and rests outside that
     window.  Calling the signal returns ``(y_ref, ydot_ref, yddot_ref)``.
+    ``t_start >= 0``, as ``reference_internal`` needs it at rest before 0.
     """
 
     params: robot_mod.RobotParams
@@ -123,6 +124,10 @@ class ReferenceSignal:
     r_end: tuple = (0.9, -0.9)
     t_start: float = 0.0
     t_end: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.t_start < self.t_end:
+            raise ValueError(f"need 0 <= t_start < t_end, got {self.t_start}, {self.t_end}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -174,37 +179,32 @@ def reference_internal(lin, ref):
     builds the bounded solution in the stable direction instead: backward
     from the settling value ``-ptilde y_ref(t_end) / qtilde`` with
     exponentially weighted Simpson cells, tabulated on a
-    ``REFERENCE_GRID_STEP`` grid and interpolated by a cubic spline.
-    Constant closed forms cover times outside ``[t_start, t_end]``.
+    ``REFERENCE_GRID_STEP`` grid over ``[0, t_end]`` and interpolated by a
+    cubic spline.  Closed forms cover the times outside, at rest.
     """
     mu = lin.qtilde
-    t_end = float(getattr(ref, "t_end", 0.0))
+    t_end = float(ref.t_end)
     tail_value = -float(lin.ptilde @ _reference_output(ref, t_end)) / mu
-    head_y = float(lin.ptilde @ _reference_output(ref, min(0.0, t_end)))
+    head_y = float(lin.ptilde @ _reference_output(ref, 0.0))
 
-    if t_end > 0.0:
-        n = int(np.ceil(t_end / REFERENCE_GRID_STEP))
-        ts = np.linspace(0.0, t_end, n + 1)
-        h = ts[1] - ts[0]
-        f = _reference_output(ref, ts) @ lin.ptilde
-        f_mid = _reference_output(ref, ts[:-1] + 0.5 * h) @ lin.ptilde
-        decay = np.exp(-mu * h)
-        decay_half = np.exp(-0.5 * mu * h)
-        vals = np.empty(n + 1)
-        vals[-1] = tail_value
-        for k in range(n - 1, -1, -1):
-            cell = h / 6.0 * (f[k] + 4.0 * decay_half * f_mid[k] + decay * f[k + 1])
-            vals[k] = decay * vals[k + 1] - cell
-        spline = CubicSpline(ts, vals)
-        start_value = vals[0]
-    else:
-        spline = None
-        start_value = tail_value
+    n = int(np.ceil(t_end / REFERENCE_GRID_STEP))
+    ts = np.linspace(0.0, t_end, n + 1)
+    h = ts[1] - ts[0]
+    f = _reference_output(ref, ts) @ lin.ptilde
+    f_mid = _reference_output(ref, ts[:-1] + 0.5 * h) @ lin.ptilde
+    decay = np.exp(-mu * h)
+    decay_half = np.exp(-0.5 * mu * h)
+    vals = np.empty(n + 1)
+    vals[-1] = tail_value
+    for k in range(n - 1, -1, -1):
+        cell = h / 6.0 * (f[k] + 4.0 * decay_half * f_mid[k] + decay * f[k + 1])
+        vals[k] = decay * vals[k + 1] - cell
+    spline = CubicSpline(ts, vals)
+    start_value = vals[0]
 
     def evaluate(t):
         t = np.asarray(t, dtype=float)
-        inside = tail_value if spline is None \
-            else spline(np.clip(t, 0.0, t_end))
+        inside = spline(np.clip(t, 0.0, t_end))
         grow = np.exp(mu * np.minimum(t, 0.0))
         before = grow * start_value - head_y * (1.0 - grow) / mu
         return np.where(t < 0.0, before, np.where(t >= t_end, tail_value, inside))

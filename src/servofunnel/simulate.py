@@ -131,6 +131,10 @@ class Scenario:
             raise ConfigError("t_end must be positive")
         if len(self.k2) != 2:
             raise ConfigError("K2 needs exactly two entries")
+        if self.bvp_n < bvp_mod.MIN_INTERVALS:
+            raise ConfigError(f"bvp_N must be at least {bvp_mod.MIN_INTERVALS}")
+        if None not in (self.bvp_t0, self.bvp_tf) and self.bvp_t0 >= self.bvp_tf:
+            raise ConfigError("bvp_T0 must lie before bvp_Tf")
 
 
 _SCALAR_KEYS = {
@@ -408,22 +412,28 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
     return t, x
 
 
+def solve_inversion(scn):
+    """The scenario's inversion: the paper move on the reference model.
+
+    ``bvp.solve_bvp`` is looked up at each call, so ``perfbench`` can wrap it.
+    """
+    params = robot_mod.RobotParams.reference()
+    model, _ = get_model("robot-reference")
+    opts = bvp_mod.BvpOptions(t_start=scn.bvp_t0, t_end=scn.bvp_tf,
+                              intervals=scn.bvp_n)
+    return bvp_mod.solve_bvp(model, funnel_mod.ReferenceSignal(params),
+                             bvp_mod.robot_boundary_preset(params), opts)
+
+
 _BVP_CACHE = {}
 
 
-def _cached_solution(scn, ref):
-    """BVP solution for the reference model, computed once per window."""
-    key = (scn.bvp_t0, scn.bvp_tf, scn.bvp_n,
-           ref.r_start, ref.r_end, ref.t_start, ref.t_end)
-    sol = _BVP_CACHE.get(key)
-    if sol is None:
-        reference_model, _ = get_model("robot-reference")
-        sel = bvp_mod.robot_boundary_preset(robot_mod.RobotParams.reference())
-        opts = bvp_mod.BvpOptions(t_start=scn.bvp_t0, t_end=scn.bvp_tf,
-                                  intervals=scn.bvp_n)
-        sol = bvp_mod.solve_bvp(reference_model, ref, sel, opts)
-        _BVP_CACHE[key] = sol
-    return sol
+def _cached_solution(scn):
+    """``solve_inversion(scn)``, computed once per window and grid."""
+    key = (scn.bvp_t0, scn.bvp_tf, scn.bvp_n)
+    if key not in _BVP_CACHE:
+        _BVP_CACHE[key] = solve_inversion(scn)
+    return _BVP_CACHE[key]
 
 
 def integrate_closed_loop(scn):
@@ -452,8 +462,7 @@ def integrate_closed_loop(scn):
 
     u_zero = np.zeros(plant.dims.inputs)
     if needs_ff:
-        sol = _cached_solution(scn, ref)
-        u_ff_fn = bvp_mod.feedforward(sol)
+        u_ff_fn = bvp_mod.feedforward(_cached_solution(scn))
     else:
         u_ff_fn = lambda t: u_zero
 

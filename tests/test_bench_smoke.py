@@ -1,6 +1,7 @@
-"""Smoke test of the benchmark worker: one inversion job, untraced and traced.
+"""Smoke tests of the benchmark worker: one inversion job, untraced and
+traced, and one closed-loop sweep lane.
 
-It runs ``perfbench/worker.py`` the way ``perfbench/run.py`` does, so a
+They run ``perfbench/worker.py`` the way ``perfbench/run.py`` does, so a
 change to a name the benchmark calls fails here rather than in a
 benchmark run.
 """
@@ -16,10 +17,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("trace", [False, True])
-def test_inversion_worker_passes_paper_move(tmp_path, trace):
-    spec = {"root": str(ROOT), "out": str(tmp_path), "workload": "inversion",
-            "job": 0, "trace": trace, "replay": True, "move": None}
+def run_worker(spec):
+    """The worker's result line; asserts it ran and every operation passed."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env.pop("PYTHONPATH", None)
@@ -33,7 +32,25 @@ def test_inversion_worker_passes_paper_move(tmp_path, trace):
     assert result["ops"]
     for op in result["ops"]:
         assert op["error"] is None and op["check"] is None, op
+    return result
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_inversion_worker_passes_paper_move(tmp_path, trace):
+    result = run_worker({"root": str(ROOT), "out": str(tmp_path),
+                         "workload": "inversion", "job": 0, "trace": trace,
+                         "replay": True, "move": None})
     assert result["accuracy"]["ff_replay_err_m"] <= 1e-3
     if trace:
         assert result["missing"] == []
         assert result["layers"]["bvp.equilibrium_calls"] == 1
+
+
+def test_sweep_worker_passes_one_c1_lane(tmp_path):
+    # The closed-loop path: the scenario keys a lane writes, the controller
+    # state, strict control and the one-argument integrate_closed_loop.
+    lane = {"mode": "C1", "params": "simulated", "kappa2": 50.0, "q": 2.0}
+    result = run_worker({"root": str(ROOT), "out": str(tmp_path),
+                         "workload": "sweep", "job": 0, "trace": False,
+                         "replay": False, "lanes": [lane]})
+    assert [op["name"] for op in result["ops"]] == ["C1-simulated"]

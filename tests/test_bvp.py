@@ -261,6 +261,9 @@ def test_feedforward_interpolant(quick_solution):
     sol = quick_solution
     u_fn = feedforward(sol)
     assert np.abs(u_fn(sol.grid) - sol.u).max() < 1e-12
+    # Between nodes it is the input the transcription solved for.
+    mid = 0.5 * (sol.grid[:-1] + sol.grid[1:])
+    assert np.abs(u_fn(mid) - 0.5 * (sol.u[:-1] + sol.u[1:])).max() < 1e-12
     assert np.abs(u_fn(np.array([-5.0, -0.51])) - sol.u[0]).max() < 1e-12
     assert np.abs(u_fn(np.array([4.0])) - sol.u[-1]).max() < 1e-12
     single = u_fn(0.7)

@@ -46,6 +46,18 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys", ["bvp_N = 5\n",
+                                  "bvp_T0 = 1.0\nbvp_Tf = 0.5\n"])
+@pytest.mark.parametrize("command", [["invert"], ["simulate", "--mode", "C2"]])
+def test_bad_inversion_keys_are_config_errors(tmp_path, capsys, keys, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(keys)
+    code = run_cli(command + ["--scenario", str(cfg),
+                              "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_invert_writes_solution(quick_scenario, tmp_path, capsys):
     out_dir = tmp_path / "inv"
     code = run_cli(["invert", "--scenario", str(quick_scenario),

@@ -108,6 +108,14 @@ def test_reference_signal_endpoints_and_rest():
         assert np.abs(yd).max() < 1e-12 and np.abs(ydd).max() < 1e-12
 
 
+def test_reference_signal_validation():
+    params = RobotParams.reference()
+    with pytest.raises(ValueError):
+        ReferenceSignal(params, t_start=1.0, t_end=1.0)
+    with pytest.raises(ValueError):
+        ReferenceSignal(params, t_start=-0.5, t_end=1.0)
+
+
 def test_reference_signal_derivatives_match_fd():
     _, ref, _ = study_setup()
     ts = np.linspace(0.05, 0.95, 30)
