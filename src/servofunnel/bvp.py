@@ -102,6 +102,21 @@ class BvpOptions:
     t_end: float = None
     intervals: int = 350
 
+    def grid(self, ref):
+        """Uniform node times over the window, unset ends taken from ``ref``.
+
+        Raises ``BadGrid`` for an empty window or fewer than
+        ``MIN_INTERVALS`` intervals.
+        """
+        t_start = ref.t_start - WINDOW_BEFORE if self.t_start is None else self.t_start
+        t_end = ref.t_end + WINDOW_AFTER if self.t_end is None else self.t_end
+        if not t_end > t_start:
+            raise BadGrid(f"window [{t_start}, {t_end}] is empty")
+        if self.intervals < MIN_INTERVALS:
+            raise BadGrid(f"need at least {MIN_INTERVALS} intervals, "
+                          f"got {self.intervals}")
+        return np.linspace(t_start, t_end, self.intervals + 1)
+
 
 @dataclass
 class CollocationSolution:
@@ -128,10 +143,8 @@ class CollocationSolution:
             + [f"u{i + 1}" for i in range(m)]
         )
         data = np.column_stack([self.grid, self.q, self.v, self.lam, self.u])
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in data:
-                fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header,
+                   comments="")
 
 
 def _applied_forces(model, q, v, lam, u):
@@ -365,24 +378,10 @@ def solve_bvp(model, ref, sel, options=None):
     """Solve the inversion boundary value problem on a uniform grid.
 
     Returns a ``CollocationSolution`` whose residual infinity norm is at
-    most ``RESIDUAL_TOL``.  Raises ``BadGrid`` for fewer than
-    ``MIN_INTERVALS`` intervals or a degenerate window, ``NewtonDiverged``
-    when damped Newton stalls.
+    most ``RESIDUAL_TOL``.  Raises ``BadGrid`` from ``BvpOptions.grid``
+    and ``NewtonDiverged`` when damped Newton stalls.
     """
-    options = options or BvpOptions()
-    t_start = options.t_start
-    t_end = options.t_end
-    if t_start is None:
-        t_start = ref.t_start - WINDOW_BEFORE
-    if t_end is None:
-        t_end = ref.t_end + WINDOW_AFTER
-    if not t_end > t_start:
-        raise BadGrid(f"window [{t_start}, {t_end}] is empty")
-    if options.intervals < MIN_INTERVALS:
-        raise BadGrid(f"need at least {MIN_INTERVALS} intervals, "
-                      f"got {options.intervals}")
-
-    grid = np.linspace(t_start, t_end, options.intervals + 1)
+    grid = (options or BvpOptions()).grid(ref)
     trans = _Transcription(model, ref, sel, grid)
     z = _initial_guess(model, ref, sel, grid)
     z, norm, iterations = _newton(trans, z)

@@ -22,10 +22,6 @@ class RankDeficientRows(ServoFunnelError):
     """A matrix expected to have full row rank is numerically rank deficient."""
 
 
-class RankDeficientColumns(ServoFunnelError):
-    """A matrix expected to have full column rank has dependent columns."""
-
-
 class ComplexOrRepeatedSpectrum(ServoFunnelError):
     """An eigendecomposition expected to be real and simple is not."""
 

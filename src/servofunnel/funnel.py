@@ -47,20 +47,12 @@ class FunnelFunction:
         t = np.asarray(t, dtype=float)
         return self.p * np.exp(-self.qrate * t) + self.r
 
-    def derivatives(self, t, order=2):
-        """``phi`` and its first ``order`` time derivatives (``order <= 2``)."""
-        if not 0 <= order <= 2:
-            raise ValueError("order must be between 0 and 2")
+    def derivatives(self, t):
+        """``(phi, phi_dot)`` at ``t``."""
         t = np.asarray(t, dtype=float)
         w = self.p * np.exp(-self.qrate * t)
         den = w + self.r
-        out = [1.0 / den]
-        q, r = self.qrate, self.r
-        if order >= 1:
-            out.append(q * w / den ** 2)
-        if order >= 2:
-            out.append(q ** 2 * w * (w - r) / den ** 3)
-        return tuple(out)
+        return 1.0 / den, self.qrate * w / den ** 2
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class ReferenceSignal:
 
     The tool tip glides from ``r_start`` to ``r_end`` between ``t_start``
     and ``t_end`` under the smooth timing law and rests outside that
-    window.  Calling the signal returns ``(y_ref, ydot_ref, yddot_ref)``.
+    window.  Calling the signal returns ``(y_ref, ydot_ref)``.
     ``t_start >= 0``, as ``reference_internal`` needs it at rest before 0.
     """
 
@@ -134,23 +126,17 @@ class ReferenceSignal:
         start = np.asarray(self.r_start, dtype=float)
         end = np.asarray(self.r_end, dtype=float)
         span = self.t_end - self.t_start
-        s, sdot, sddot = timing_law(t - self.t_start, span)
+        s, sdot, _ = timing_law(t - self.t_start, span)
         delta_r = end - start
         r_app = start + s[..., None] * delta_r
         rd = sdot[..., None] * delta_r
-        rdd = sddot[..., None] * delta_r
 
         radius = self.params.arm_radius
         y = robot_mod.output_from_end_effector(self.params, r_app)
         y2 = y[..., 1]
-        cos2, sin2 = np.cos(y2), np.sin(y2)
-        yd2 = -rd[..., 1] / (radius * cos2)
-        ydd2 = (-rdd[..., 1] / radius + sin2 * yd2 ** 2) / cos2
-        yd1 = rd[..., 0] + radius * sin2 * yd2
-        ydd1 = rdd[..., 0] + radius * (cos2 * yd2 ** 2 + sin2 * ydd2)
-        ydot = np.stack([yd1, yd2], axis=-1)
-        yddot = np.stack([ydd1, ydd2], axis=-1)
-        return y, ydot, yddot
+        yd2 = -rd[..., 1] / (radius * np.cos(y2))
+        yd1 = rd[..., 0] + radius * np.sin(y2) * yd2
+        return y, np.stack([yd1, yd2], axis=-1)
 
 
 def _reference_output(ref, t):
@@ -237,11 +223,6 @@ class ControlDiagnostics:
     margin_ebar: float
     u_fb: np.ndarray
 
-    @property
-    def min_margin(self):
-        return min(self.margin_e10, self.margin_e11,
-                   self.margin_e20, self.margin_ebar)
-
 
 def _gain(kappa, margin, label, t):
     """``kappa / margin``; a margin that is not positive (NaN included)
@@ -268,7 +249,7 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     params = ref.params
     y = robot_mod.output(params, q)
     ydot = robot_mod.output_jacobian(params, q) @ v
-    y_ref, ydot_ref, _ = ref(t)
+    y_ref, ydot_ref = ref(t)
 
     psi_val = float(psi(q, v, lin, params))
     dpsi = psi_val - state.eta2_ref
@@ -281,9 +262,9 @@ def control(t, q, v, state, lin, design, ref, strict=True):
                        + lin.qtilde * float(lin.ptilde @ dy)
                        + float(lin.ptilde @ dyd))
 
-    phi0, phi0_dot, _ = design.phi0.derivatives(float(t), order=2)
-    phi1 = design.phi1.derivatives(float(t), order=0)[0]
-    phi2 = design.phi2.derivatives(float(t), order=0)[0]
+    phi0, phi0_dot = design.phi0.derivatives(float(t))
+    phi1 = 1.0 / design.phi1.boundary(float(t))
+    phi2 = 1.0 / design.phi2.boundary(float(t))
 
     margin_e10 = 1.0 - phi0 ** 2 * e10 ** 2
     k10 = _gain(design.kappa0, margin_e10, "e10", t)

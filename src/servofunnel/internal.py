@@ -24,7 +24,6 @@ from .linalg import (
     eig_real_small,
     fd_jacobian,
     kernel_basis,
-    pseudo_inverse_tall,
     solve_linear,
 )
 
@@ -132,9 +131,9 @@ def high_gain(model, q):
 def phi2_rows(model, q):
     """Rows completing the constraint and output Jacobians to a coordinate map.
 
-    Returns the ``(n - l - m, n)`` matrix ``V^+ (I - M^-1 [G^T B]
+    Returns the ``(n - l - m, n)`` matrix ``V^T (I - M^-1 [G^T B]
     Gamma^-1 [G; H])`` whose rows annihilate ``M^-1 [G^T B]``, with ``V``
-    an orthonormal basis of the kernel of the stacked Jacobians.
+    an orthonormal kernel basis of the stacked Jacobians, so ``V^T = V^+``.
     """
     q = np.asarray(q, dtype=float)
     mass = np.asarray(model.mass_matrix(q), dtype=float)
@@ -154,7 +153,7 @@ def phi2_rows(model, q):
         correction = minv_cols @ solve_linear(gamma, rows)
     except SingularMatrix as exc:
         raise GammaSingular(f"high-gain matrix is singular: {exc}") from exc
-    return pseudo_inverse_tall(basis) @ (np.eye(n) - correction)
+    return basis.T @ (np.eye(n) - correction)
 
 
 def phi_tilde_row(params, q):
@@ -217,11 +216,6 @@ def robot_internal_rhs(eta, y, ydot, params):
     return eta1dot, eta2dot
 
 
-def _rhs_vector(eta, y, ydot, params):
-    e1, e2 = robot_internal_rhs(eta, y, ydot, params)
-    return np.array([e1, e2])
-
-
 def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01), rho=1.0):
     """Linearize the internal dynamics about the reference endpoints.
 
@@ -231,16 +225,13 @@ def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01), rho=1.0):
     ``ComplexOrRepeatedSpectrum`` when the state matrix has no real
     simple spectrum.
     """
-    y0 = np.asarray(y0, dtype=float)
-    yf = np.asarray(yf, dtype=float)
-    zero = np.zeros(2)
-
-    q_mat = 0.5 * (fd_jacobian(lambda e: _rhs_vector(e, y0, zero, params), zero)
-                   + fd_jacobian(lambda e: _rhs_vector(e, yf, zero, params), zero))
-    p1 = 0.5 * (fd_jacobian(lambda yy: _rhs_vector(zero, yy, zero, params), y0)
-                + fd_jacobian(lambda yy: _rhs_vector(zero, yy, zero, params), yf))
-    p2 = 0.5 * (fd_jacobian(lambda yd: _rhs_vector(zero, y0, yd, params), zero)
-                + fd_jacobian(lambda yd: _rhs_vector(zero, yf, yd, params), zero))
+    # One batched Jacobian over the stacked (eta, y, ydot) at both endpoints.
+    rest = np.zeros((2, 6))
+    rest[:, 2:4] = y0, yf
+    jac = fd_jacobian(lambda z: np.stack(robot_internal_rhs(
+        z[:, :2], z[:, 2:4], z[:, 4:], params), axis=-1), rest)
+    q_mat, p1, p2 = (block.copy() for block in
+                     np.hsplit(0.5 * (jac[0] + jac[1]), [2, 4]))
     p_mat = p1 + q_mat @ p2
 
     mu_stable, mu_unstable = eig_real_small(q_mat)

@@ -15,7 +15,6 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from .errors import (
     ComplexOrRepeatedSpectrum,
     NonFiniteEvaluation,
-    RankDeficientColumns,
     RankDeficientRows,
     SingularMatrix,
 )
@@ -118,28 +117,6 @@ def kernel_basis(a):
     if rank < rows:
         raise RankDeficientRows(f"rows are numerically dependent (rank {rank} < {rows})")
     return _canonical_column_signs(vt[rank:].T)
-
-
-def pseudo_inverse_tall(v):
-    """Left pseudo-inverse ``(V^T V)^{-1} V^T`` of a tall full-column-rank matrix.
-
-    Raises
-    ------
-    RankDeficientColumns
-        When the columns are numerically dependent.
-    """
-    v = _as_matrix(v)
-    rows, cols = v.shape
-    if cols == 0:
-        return np.zeros((0, rows))
-    if cols > rows:
-        raise ValueError(f"expected a tall matrix, got shape {v.shape}")
-    s = np.linalg.svd(v, compute_uv=False)
-    if s.min() <= RANK_RTOL * s.max():
-        raise RankDeficientColumns(
-            f"columns are numerically dependent (sv ratio {s.min() / s.max():.3e})"
-        )
-    return solve_linear(v.T @ v, v.T)
 
 
 def eig_real_small(a):

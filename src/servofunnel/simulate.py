@@ -21,6 +21,7 @@ from . import funnel as funnel_mod
 from . import internal as internal_mod
 from . import robot as robot_mod
 from .errors import (
+    BadGrid,
     ConfigError,
     SaddleSingular,
     ServoFunnelError,
@@ -42,8 +43,8 @@ MIN_STEP = 1e-12
 #: integrator adds nothing visible to that figure.
 OPEN_LOOP_MAX_STEP = 1e-3
 
-#: Default Baumgarte stabilization constants (both time constants 0.05 s).
-DEFAULT_BAUMGARTE = 20.0
+#: Baumgarte constant of both stabilizing terms (time constants 0.05 s).
+BAUMGARTE = 20.0
 
 #: Exact column layout of the emitted time-series CSV.
 CSV_HEADER = ("t,q1,q2,q3,q4,q5,v1,v2,v3,v4,v5,y1,y2,yref1,yref2,"
@@ -53,8 +54,12 @@ CSV_HEADER = ("t,q1,q2,q3,q4,q5,v1,v2,v3,v4,v5,y1,y2,yref1,yref2,"
 _MODES = ("C1", "C2", "C3")
 
 
-def index1_accelerations(model, q, v, u, baumgarte=(DEFAULT_BAUMGARTE,
-                                                    DEFAULT_BAUMGARTE)):
+def _reference():
+    """The paper move, on the reference parameters of controller and inversion."""
+    return funnel_mod.ReferenceSignal(robot_mod.RobotParams.reference())
+
+
+def index1_accelerations(model, q, v, u):
     """Accelerations and multipliers of the index-1 reduced dynamics.
 
     Solves the saddle system pairing the mass matrix with the constraint
@@ -66,7 +71,6 @@ def index1_accelerations(model, q, v, u, baumgarte=(DEFAULT_BAUMGARTE,
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    alpha, beta = baumgarte
     n = model.dims.n
     l = model.dims.holonomic
 
@@ -83,7 +87,7 @@ def index1_accelerations(model, q, v, u, baumgarte=(DEFAULT_BAUMGARTE,
     saddle[n:, :n] = jac
     rhs = np.concatenate([
         force,
-        -jac_dot @ v - 2.0 * alpha * jac @ v - beta ** 2 * closure,
+        -jac_dot @ v - 2.0 * BAUMGARTE * jac @ v - BAUMGARTE ** 2 * closure,
     ])
     try:
         sol = solve_linear(saddle, rhs)
@@ -106,8 +110,6 @@ class Scenario:
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = DEFAULT_ABS_TOL
     max_step: float = DEFAULT_MAX_STEP
-    baumgarte_alpha: float = DEFAULT_BAUMGARTE
-    baumgarte_beta: float = DEFAULT_BAUMGARTE
     bvp_t0: float = None
     bvp_tf: float = None
     bvp_n: int = 350
@@ -131,10 +133,14 @@ class Scenario:
             raise ConfigError("t_end must be positive")
         if len(self.k2) != 2:
             raise ConfigError("K2 needs exactly two entries")
-        if self.bvp_n < bvp_mod.MIN_INTERVALS:
-            raise ConfigError(f"bvp_N must be at least {bvp_mod.MIN_INTERVALS}")
-        if None not in (self.bvp_t0, self.bvp_tf) and self.bvp_t0 >= self.bvp_tf:
-            raise ConfigError("bvp_T0 must lie before bvp_Tf")
+        try:
+            self.bvp_options().grid(_reference())
+        except BadGrid as exc:
+            raise ConfigError(f"inversion grid: {exc}") from exc
+
+    def bvp_options(self):
+        return bvp_mod.BvpOptions(t_start=self.bvp_t0, t_end=self.bvp_tf,
+                                  intervals=self.bvp_n)
 
 
 _SCALAR_KEYS = {
@@ -144,8 +150,6 @@ _SCALAR_KEYS = {
     "rel_tol": float,
     "abs_tol": float,
     "max_step": float,
-    "baumgarte_alpha": float,
-    "baumgarte_beta": float,
     "bvp_T0": float,
     "bvp_Tf": float,
     "bvp_N": int,
@@ -266,10 +270,8 @@ class TimeSeries:
             self.u_fb, self.u, self.lam, self.ebar_norm,
             self.funnel_boundary, self.g_norm, self.r_app,
         ])
-        with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in data:
-                fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header=CSV_HEADER,
+                   comments="")
 
 
 @dataclass
@@ -286,23 +288,25 @@ class Metrics:
     step_count: int
 
     def report_lines(self, prefix=""):
-        lines = []
-        for i in range(2):
-            lines.append(f"{prefix}cumulative_output_error_{i + 1}: "
-                         f"{self.cumulative_output_error[i]:.10g}")
-        for i in range(2):
-            lines.append(f"{prefix}cumulative_ee_error_{i + 1}: "
-                         f"{self.cumulative_ee_error[i]:.10g}")
-        lines.append(f"{prefix}final_output_error: "
-                     f"{self.final_output_error:.10g}")
-        lines.append(f"{prefix}final_ee_error: {self.final_ee_error:.10g}")
-        lines.append(f"{prefix}max_constraint_violation: "
-                     f"{self.max_constraint_violation:.10g}")
-        lines.append(f"{prefix}min_funnel_margin: "
-                     f"{self.min_funnel_margin:.10g}")
-        lines.append(f"{prefix}peak_input: {self.peak_input:.10g}")
-        lines.append(f"{prefix}step_count: {self.step_count}")
-        return lines
+        return _report_lines(self, prefix)
+
+
+def _report_lines(record, prefix="", skip=()):
+    """``name: value`` lines of the dataclass fields of ``record`` in order.
+
+    An array field gives one line per entry, ``name_1``, ``name_2``, ...
+    """
+    lines = []
+    for f in fields(record):
+        if f.name in skip:
+            continue
+        value = getattr(record, f.name)
+        if np.ndim(value):
+            lines.extend(f"{prefix}{f.name}_{i + 1}: {entry:.10g}"
+                         for i, entry in enumerate(value))
+        else:
+            lines.append(f"{prefix}{f.name}: {value:.10g}")
+    return lines
 
 
 def compute_metrics(ts, params):
@@ -417,12 +421,10 @@ def solve_inversion(scn):
 
     ``bvp.solve_bvp`` is looked up at each call, so ``perfbench`` can wrap it.
     """
-    params = robot_mod.RobotParams.reference()
+    ref = _reference()
     model, _ = get_model("robot-reference")
-    opts = bvp_mod.BvpOptions(t_start=scn.bvp_t0, t_end=scn.bvp_tf,
-                              intervals=scn.bvp_n)
-    return bvp_mod.solve_bvp(model, funnel_mod.ReferenceSignal(params),
-                             bvp_mod.robot_boundary_preset(params), opts)
+    return bvp_mod.solve_bvp(model, ref, bvp_mod.robot_boundary_preset(ref.params),
+                             scn.bvp_options())
 
 
 _BVP_CACHE = {}
@@ -453,10 +455,9 @@ def integrate_closed_loop(scn):
     """
     scn.validate()
     plant, _ = get_model(f"{scn.model}-{scn.params}")
-    ctrl_params = robot_mod.RobotParams.reference()
-    ref = funnel_mod.ReferenceSignal(ctrl_params)
+    ref = _reference()
+    ctrl_params = ref.params
     design = scn.funnel_design
-    baumgarte = (scn.baumgarte_alpha, scn.baumgarte_beta)
     needs_ff = scn.mode in ("C1", "C3")
     needs_fb = scn.mode in ("C1", "C2")
 
@@ -487,7 +488,7 @@ def integrate_closed_loop(scn):
         else:
             u_fb, diag = u_zero, None
         u = u_ff + u_fb
-        vdot, lam = index1_accelerations(plant, q, v, u, baumgarte)
+        vdot, lam = index1_accelerations(plant, q, v, u)
         return np.concatenate([v, vdot]), (u_ff, u_fb, u, lam, diag)
 
     rows = []
@@ -520,8 +521,7 @@ def integrate_open_loop(model, u_fn, x0, t_span, rel_tol=DEFAULT_REL_TOL,
                         abs_tol=DEFAULT_ABS_TOL, max_step=OPEN_LOOP_MAX_STEP):
     """Integrate the plant under a prescribed input signal.
 
-    The constraint rows carry the default Baumgarte constants, and no
-    funnel is checked.  Returns ``(t, q, v)`` arrays at accepted steps;
+    No funnel is checked.  Returns ``(t, q, v)`` arrays at accepted steps;
     useful for inversion cross-checks and passivity sweeps where no
     controller runs.
     """
@@ -554,11 +554,7 @@ class ComparisonReport:
         lines = []
         for mode in sorted(self.metrics):
             lines.extend(self.metrics[mode].report_lines(prefix=f"{mode}."))
-        for i in range(2):
-            lines.append(f"ratio_output_{i + 1}: {self.ratio_output[i]:.10g}")
-        for i in range(2):
-            lines.append(f"ratio_ee_{i + 1}: {self.ratio_ee[i]:.10g}")
-        return lines
+        return lines + _report_lines(self, skip=("metrics",))
 
     def as_text(self):
         return "\n".join(self.report_lines()) + "\n"

@@ -47,7 +47,9 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("keys", ["bvp_N = 5\n",
-                                  "bvp_T0 = 1.0\nbvp_Tf = 0.5\n"])
+                                  "bvp_T0 = 1.0\nbvp_Tf = 0.5\n",
+                                  "bvp_T0 = 3.0\n",
+                                  "bvp_Tf = -1.0\n"])
 @pytest.mark.parametrize("command", [["invert"], ["simulate", "--mode", "C2"]])
 def test_bad_inversion_keys_are_config_errors(tmp_path, capsys, keys, command):
     cfg = tmp_path / "bad.cfg"

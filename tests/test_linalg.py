@@ -7,7 +7,6 @@ import scipy.linalg
 from servofunnel.errors import (
     ComplexOrRepeatedSpectrum,
     NonFiniteEvaluation,
-    RankDeficientColumns,
     RankDeficientRows,
     SingularMatrix,
 )
@@ -16,7 +15,6 @@ from servofunnel.linalg import (
     fd_jacobian,
     kernel_basis,
     lu_factor_checked,
-    pseudo_inverse_tall,
     solve_linear,
 )
 
@@ -109,24 +107,6 @@ def test_kernel_basis_rank_deficient_rows():
 
 def test_kernel_basis_empty_rows_gives_identity():
     assert np.allclose(kernel_basis(np.zeros((0, 4))), np.eye(4))
-
-
-def test_pseudo_inverse_tall_left_inverse():
-    rng = np.random.default_rng(19)
-    for _ in range(30):
-        cols = int(rng.integers(1, 4))
-        rows = cols + int(rng.integers(0, 4))
-        v = rng.standard_normal((rows, cols))
-        if np.linalg.matrix_rank(v) < cols:
-            continue
-        pinv = pseudo_inverse_tall(v)
-        assert np.allclose(pinv @ v, np.eye(cols), atol=1e-8)
-
-
-def test_pseudo_inverse_tall_rejects_dependent_columns():
-    v = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    with pytest.raises(RankDeficientColumns):
-        pseudo_inverse_tall(v)
 
 
 def test_eig_real_small_2x2_closed_form():

@@ -1,6 +1,7 @@
 """Tests for the reduced dynamics, the integrator and scenario handling."""
 
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from servofunnel.funnel import (
     reference_internal,
 )
 from servofunnel.internal import linearize
-from servofunnel.linalg import kernel_basis, pseudo_inverse_tall
+from servofunnel.linalg import kernel_basis
 from servofunnel.model import MbsDims
 from servofunnel.robot import (
     RobotParams,
@@ -41,6 +42,8 @@ from servofunnel.simulate import (
     Metrics,
     Scenario,
     TimeSeries,
+    _FUNNEL_FIELDS,
+    _SCALAR_KEYS,
     _rk45,
     compare,
     compute_metrics,
@@ -73,7 +76,9 @@ def test_accelerations_match_kernel_projection():
 
     On the constraint manifold the accelerations are fixed by the
     projected force balance plus the differentiated closure; multipliers
-    follow from the residual force. Both routes must agree.
+    follow from the residual force. Both routes must agree. The state is
+    consistent (closed loop, velocity in the kernel), so the Baumgarte
+    terms of the saddle solve vanish up to round-off.
     """
     q0, _ = initial_state(PARAMS)
     rng = np.random.default_rng(6)
@@ -81,7 +86,7 @@ def test_accelerations_match_kernel_projection():
     for _ in range(10):
         v = basis @ rng.normal(size=3)
         u = rng.normal(size=2)
-        vdot, lam = index1_accelerations(MODEL, q0, v, u, baumgarte=(0.0, 0.0))
+        vdot, lam = index1_accelerations(MODEL, q0, v, u)
         jac = np.asarray(MODEL.holonomic_jacobian(q0))
         jac_dot = np.asarray(MODEL.holonomic_jacobian_dot(q0, v))
         mass = MODEL.mass_matrix(q0)
@@ -89,10 +94,10 @@ def test_accelerations_match_kernel_projection():
         lhs = np.vstack([basis.T @ mass, jac])
         rhs = np.concatenate([basis.T @ force, -jac_dot @ v])
         vdot_expected = np.linalg.solve(lhs, rhs)
-        lam_expected = pseudo_inverse_tall(jac.T) @ (mass @ vdot - force)
+        lam_expected = np.linalg.lstsq(jac.T, mass @ vdot - force, rcond=None)[0]
         assert np.abs(vdot - vdot_expected).max() < 1e-10
         assert np.abs(lam - lam_expected).max() < 1e-10
-        # The differentiated constraint holds exactly without feedback.
+        # The differentiated constraint holds: the feedback terms vanish.
         assert np.abs(jac_dot @ v + jac @ vdot).max() < 1e-10
 
 
@@ -285,13 +290,31 @@ def test_parse_scenario_shipped_defaults():
     assert scn.rel_tol == defaults.rel_tol
     assert scn.abs_tol == defaults.abs_tol
     assert scn.max_step == defaults.max_step
-    assert scn.baumgarte_alpha == defaults.baumgarte_alpha
-    assert scn.baumgarte_beta == defaults.baumgarte_beta
     assert scn.bvp_n == defaults.bvp_n
     assert scn.k1 == defaults.k1
     assert scn.k2 == defaults.k2
     assert scn.funnel_design == defaults.funnel_design
     assert scn.out_dir == defaults.out_dir
+
+
+def test_shipped_scenario_names_every_recognized_key(tmp_path):
+    # default.cfg lists every key, set or commented out as `# key = value`,
+    # and comments out no key the parser has dropped.
+    accepted = set(_SCALAR_KEYS) | {"K2"} | {
+        f"funnel.{level}.{name}" for level in "012" for name in _FUNNEL_FIELDS}
+    set_keys, commented = set(), {}
+    for line in (SCENARIO_DIR / "default.cfg").read_text().splitlines():
+        match = re.match(r"#\s*([\w.]+)\s*=\s*(\S+)", line)
+        if match:
+            commented[match[1]] = match[2]
+        elif "=" in line.split("#", 1)[0]:
+            set_keys.add(line.split("=", 1)[0].strip())
+    assert set(commented) <= accepted
+    assert set_keys | set(commented) == accepted
+    for key, value in commented.items():
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        parse_scenario(cfg)
 
 
 def test_parse_scenario_overrides(tmp_path):
