@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import robot as robot_mod
 from .errors import FunnelViolation
@@ -27,9 +26,9 @@ class FunnelFunction:
     """Performance funnel ``phi(t) = 1 / (p exp(-qrate t) + r)``.
 
     ``1 / phi`` is the error bound: it starts at ``p + r`` and tightens
-    exponentially to ``r``.  With ``p >= 0``, ``qrate > 0`` and ``r > 0``
-    the function and all its derivatives stay bounded and ``phi`` stays
-    positive.
+    exponentially to ``r``.  With ``p >= 0``, ``qrate > 0`` and ``r > 0``,
+    all finite, the function and its derivatives stay bounded and ``phi``
+    stays positive.
     """
 
     p: float
@@ -37,10 +36,10 @@ class FunnelFunction:
     r: float
 
     def __post_init__(self):
-        if self.p < 0.0:
-            raise ValueError("funnel scale p must be non-negative")
-        if self.qrate <= 0.0 or self.r <= 0.0:
-            raise ValueError("funnel rate and offset must be positive")
+        if not (0.0 <= self.p < np.inf and 0.0 < self.qrate < np.inf
+                and 0.0 < self.r < np.inf):
+            raise ValueError("funnel needs finite p >= 0, qrate > 0 and r > 0, "
+                             f"got {self.p}, {self.qrate}, {self.r}")
 
     def boundary(self, t):
         """Error bound ``1 / phi(t) = p exp(-qrate t) + r``."""
@@ -72,8 +71,8 @@ class FunnelDesign:
     kappa2: float
 
     def __post_init__(self):
-        if min(self.kappa0, self.kappa1, self.kappa2) <= 0.0:
-            raise ValueError("funnel gains must be positive")
+        if not all(0.0 < k < np.inf for k in (self.kappa0, self.kappa1, self.kappa2)):
+            raise ValueError("funnel gains must be finite and positive")
 
     @classmethod
     def table_defaults(cls):
@@ -139,10 +138,6 @@ class ReferenceSignal:
         return y, np.stack([yd1, yd2], axis=-1)
 
 
-def _reference_output(ref, t):
-    return np.asarray(ref(t)[0], dtype=float)
-
-
 @dataclass(frozen=True)
 class ControllerState:
     """Dynamic feedback state: the unstable reference coordinate."""
@@ -165,35 +160,37 @@ def reference_internal(lin, ref):
     builds the bounded solution in the stable direction instead: backward
     from the settling value ``-ptilde y_ref(t_end) / qtilde`` with
     exponentially weighted Simpson cells, tabulated on a
-    ``REFERENCE_GRID_STEP`` grid over ``[0, t_end]`` and interpolated by a
-    cubic spline.  Closed forms cover the times outside, at rest.
+    ``REFERENCE_GRID_STEP`` grid over ``[0, t_end]`` and joined by cubic
+    Hermite pieces whose node slopes the ODE gives from the table.  Closed
+    forms cover the times outside, at rest.
     """
     mu = lin.qtilde
     t_end = float(ref.t_end)
-    tail_value = -float(lin.ptilde @ _reference_output(ref, t_end)) / mu
-    head_y = float(lin.ptilde @ _reference_output(ref, 0.0))
-
     n = int(np.ceil(t_end / REFERENCE_GRID_STEP))
     ts = np.linspace(0.0, t_end, n + 1)
     h = ts[1] - ts[0]
-    f = _reference_output(ref, ts) @ lin.ptilde
-    f_mid = _reference_output(ref, ts[:-1] + 0.5 * h) @ lin.ptilde
+    f = ref(ts)[0] @ lin.ptilde
+    f_mid = ref(ts[:-1] + 0.5 * h)[0] @ lin.ptilde
     decay = np.exp(-mu * h)
     decay_half = np.exp(-0.5 * mu * h)
     vals = np.empty(n + 1)
-    vals[-1] = tail_value
+    vals[-1] = -f[-1] / mu
     for k in range(n - 1, -1, -1):
         cell = h / 6.0 * (f[k] + 4.0 * decay_half * f_mid[k] + decay * f[k + 1])
         vals[k] = decay * vals[k + 1] - cell
-    spline = CubicSpline(ts, vals)
-    start_value = vals[0]
+    slopes = h * (mu * vals + f)
 
     def evaluate(t):
         t = np.asarray(t, dtype=float)
-        inside = spline(np.clip(t, 0.0, t_end))
+        x = np.clip(t, 0.0, t_end) / h
+        k = np.minimum(x.astype(int), n - 1)
+        s = x - k
+        r = 1.0 - s
+        inside = (r * r * ((1.0 + 2.0 * s) * vals[k] + s * slopes[k])
+                  + s * s * ((3.0 - 2.0 * s) * vals[k + 1] - r * slopes[k + 1]))
         grow = np.exp(mu * np.minimum(t, 0.0))
-        before = grow * start_value - head_y * (1.0 - grow) / mu
-        return np.where(t < 0.0, before, np.where(t >= t_end, tail_value, inside))
+        before = grow * vals[0] - f[0] * (1.0 - grow) / mu
+        return np.where(t < 0.0, before, inside)
 
     return evaluate
 

@@ -127,6 +127,10 @@ class Scenario:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.params not in ("reference", "simulated"):
             raise ConfigError(f"unknown parameter preset {self.params!r}")
+        ends = [t for t in (self.bvp_t0, self.bvp_tf) if t is not None]
+        if not np.isfinite([self.rel_tol, self.abs_tol, self.max_step,
+                            self.t_end, self.k1, *self.k2, *ends]).all():
+            raise ConfigError("scenario values must be finite")
         if min(self.rel_tol, self.abs_tol, self.max_step) <= 0.0:
             raise ConfigError("integrator tolerances must be positive")
         if self.t_end <= 0.0:
@@ -218,8 +222,11 @@ def parse_scenario(path):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
 
     if funnel_over:
-        scn.funnel_design = _apply_funnel_overrides(scn.funnel_design,
-                                                    funnel_over)
+        try:
+            scn.funnel_design = _apply_funnel_overrides(scn.funnel_design,
+                                                        funnel_over)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     scn.validate()
     return scn
 
@@ -468,10 +475,8 @@ def integrate_closed_loop(scn):
         u_ff_fn = lambda t: u_zero
 
     if needs_fb:
-        y_start = np.asarray(ref(ref.t_start)[0], dtype=float)
-        y_end = np.asarray(ref(ref.t_end)[0], dtype=float)
-        lin = internal_mod.linearize(ctrl_params, y_start, y_end,
-                                     k1=scn.k1, k2=tuple(scn.k2))
+        lin = internal_mod.linearize(ctrl_params, ref(ref.t_start)[0],
+                                     ref(ref.t_end)[0], k1=scn.k1, k2=tuple(scn.k2))
         eta_ref = funnel_mod.reference_internal(lin, ref)
         eta_ref0 = float(eta_ref(0.0))
 
@@ -497,7 +502,7 @@ def integrate_closed_loop(scn):
         q, v = x[:5], x[5:]
         u_ff, u_fb, u, lam, diag = aux
         y = np.asarray(plant.output(q), dtype=float)
-        y_ref = np.asarray(ref(t)[0], dtype=float)
+        y_ref = ref(t)[0]
         rows.append((  # in the field order of TimeSeries
             t, q.copy(), v.copy(), y, y_ref, u_ff, u_fb, u, lam,
             0.0 if diag is None else diag.ebar_norm,
@@ -571,10 +576,8 @@ def compare(metrics_by_mode):
     c2 = metrics_by_mode["C2"]
     return ComparisonReport(
         metrics=dict(metrics_by_mode),
-        ratio_output=np.asarray(c1.cumulative_output_error)
-        / np.asarray(c2.cumulative_output_error),
-        ratio_ee=np.asarray(c1.cumulative_ee_error)
-        / np.asarray(c2.cumulative_ee_error),
+        ratio_output=c1.cumulative_output_error / c2.cumulative_output_error,
+        ratio_ee=c1.cumulative_ee_error / c2.cumulative_ee_error,
     )
 
 

@@ -1,8 +1,13 @@
 """End-to-end command line tests running in-process."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import servofunnel
 from servofunnel import bvp, simulate
 from servofunnel.cli import run_cli
 
@@ -58,6 +63,31 @@ def test_bad_inversion_keys_are_config_errors(tmp_path, capsys, keys, command):
                               "--out", str(tmp_path / "out")])
     assert code == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys", ["t_end = nan\n", "t_end = inf\n",
+                                  "funnel.0.q = nan\n", "K1 = nan\n",
+                                  "funnel.0.q = -1\n", "funnel.2.kappa = 0\n"])
+def test_out_of_range_values_are_config_errors(tmp_path, capsys, keys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(keys)
+    code = run_cli(["simulate", "--mode", "C3", "--scenario", str(cfg),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # Start-up cost: the runtime needs numpy and scipy.linalg only.
+    src = os.path.dirname(os.path.dirname(servofunnel.__file__))
+    probe = "import sys, servofunnel; print(*sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+    assert "servofunnel.simulate" in loaded
+    for name in ("scipy.interpolate", "scipy.optimize", "scipy.sparse",
+                 "scipy.special"):
+        assert name not in loaded
 
 
 def test_invert_writes_solution(quick_scenario, tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from servofunnel.errors import FunnelViolation
 from servofunnel.funnel import (
+    REFERENCE_GRID_STEP,
     ControllerState,
     FunnelDesign,
     FunnelFunction,
@@ -46,6 +48,9 @@ def test_funnel_function_validation():
         FunnelFunction(p=0.5, qrate=0.0, r=0.001)
     with pytest.raises(ValueError):
         FunnelFunction(p=0.5, qrate=2.0, r=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            FunnelFunction(p=bad, qrate=2.0, r=0.001)
 
 
 def test_funnel_design_table_defaults():
@@ -57,6 +62,9 @@ def test_funnel_design_table_defaults():
     with pytest.raises(ValueError):
         FunnelDesign(phi0=design.phi0, phi1=design.phi1, phi2=design.phi2,
                      kappa0=0.0, kappa1=1.0, kappa2=50.0)
+    with pytest.raises(ValueError):
+        FunnelDesign(phi0=design.phi0, phi1=design.phi1, phi2=design.phi2,
+                     kappa0=1.0, kappa1=np.nan, kappa2=50.0)
 
 
 def test_timing_law_endpoints_and_midpoint():
@@ -167,6 +175,24 @@ def test_reference_internal_solves_the_unstable_ode():
     grow = np.exp(lin.qtilde * (-0.3))
     expected = grow * table(0.0) - head_y * (1.0 - grow) / lin.qtilde
     assert abs(table(-0.3) - expected) < 1e-10
+
+    # The table matches an independent backward solve from the tail value.
+    # Its Simpson cells are off by up to 3.3e-9: their error on the weight
+    # exp(-qtilde s) grows as (qtilde h)^4, with qtilde = 28.4, h = 1e-3.
+    backward = solve_ivp(
+        lambda t, eta: lin.qtilde * eta + lin.ptilde @ ref(t)[0],
+        (ref.t_end, 0.0), [tail], method="DOP853", rtol=1e-12, atol=1e-12,
+        dense_output=True)
+    assert backward.success
+    ts = np.linspace(0.0, ref.t_end, 401)
+    assert np.abs(table(ts) - backward.sol(ts)[0]).max() < 4e-9
+
+    # At the nodes the interpolant's rate is the ODE's rate.
+    nodes = np.linspace(0.0, ref.t_end, round(ref.t_end / REFERENCE_GRID_STEP) + 1)[1:-1]
+    step = 1e-6
+    rate = (table(nodes + step) - table(nodes - step)) / (2 * step)
+    ode_rate = lin.qtilde * table(nodes) + ref(nodes)[0] @ lin.ptilde
+    assert np.abs(rate - ode_rate).max() < 2e-8
 
 
 def test_controller_state_validation():

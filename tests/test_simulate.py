@@ -371,6 +371,14 @@ def test_parse_scenario_rejects_malformed_input(tmp_path):
     with pytest.raises(ConfigError):
         parse_scenario(bad_pair)
 
+    # Out-of-range or non-finite values are config errors too.
+    for text in ("t_end = nan\n", "t_end = inf\n", "funnel.0.q = nan\n",
+                 "K1 = nan\n", "funnel.0.q = -1\n", "funnel.2.kappa = 0\n"):
+        out_of_range = tmp_path / "out_of_range.cfg"
+        out_of_range.write_text(text)
+        with pytest.raises(ConfigError):
+            parse_scenario(out_of_range)
+
 
 def test_time_series_validation():
     ones = np.ones((3, 2))
