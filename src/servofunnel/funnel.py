@@ -92,7 +92,7 @@ def timing_law(t, tf):
     clamped to its endpoint values outside the window.  Batched over ``t``.
     """
     t = np.asarray(t, dtype=float)
-    tau = np.clip(t / tf, 0.0, 1.0)
+    tau = np.minimum(np.maximum(t / tf, 0.0), 1.0)
     r = tau ** 5 * (70.0 * tau ** 4 - 315.0 * tau ** 3 + 540.0 * tau ** 2
                     - 420.0 * tau + 126.0)
     rdot = 630.0 * tau ** 4 * (1.0 - tau) ** 4 / tf
@@ -122,20 +122,19 @@ class ReferenceSignal:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        start = np.asarray(self.r_start, dtype=float)
-        end = np.asarray(self.r_end, dtype=float)
-        span = self.t_end - self.t_start
-        s, sdot, _ = timing_law(t - self.t_start, span)
-        delta_r = end - start
-        r_app = start + s[..., None] * delta_r
-        rd = sdot[..., None] * delta_r
+        start1, start2 = map(float, self.r_start)
+        end1, end2 = map(float, self.r_end)
+        delta1, delta2 = end1 - start1, end2 - start2
+        s, sdot, _ = timing_law(t - self.t_start, self.t_end - self.t_start)
+        r_app = robot_mod._stack_last(t.shape, start1 + s * delta1, start2 + s * delta2)
+        rd1, rd2 = sdot * delta1, sdot * delta2
 
         radius = self.params.arm_radius
         y = robot_mod.output_from_end_effector(self.params, r_app)
-        y2 = y[..., 1]
-        yd2 = -rd[..., 1] / (radius * np.cos(y2))
-        yd1 = rd[..., 0] + radius * np.sin(y2) * yd2
-        return y, np.stack([yd1, yd2], axis=-1)
+        _, y2 = robot_mod._components(y)
+        yd2 = -rd2 / (radius * np.cos(y2))
+        yd1 = rd1 + radius * np.sin(y2) * yd2
+        return y, robot_mod._stack_last(t.shape, yd1, yd2)
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def reference_internal(lin, ref):
 
     def evaluate(t):
         t = np.asarray(t, dtype=float)
-        x = np.clip(t, 0.0, t_end) / h
+        x = np.minimum(np.maximum(t, 0.0), t_end) / h
         k = np.minimum(x.astype(int), n - 1)
         s = x - k
         r = 1.0 - s
@@ -253,10 +252,11 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     dy = y - y_ref
     dyd = ydot - ydot_ref
 
+    ptilde_dy = float(lin.ptilde @ dy)
     e10 = lin.k1 * dpsi
-    e10_d1 = lin.k1 * (lin.qtilde * dpsi + float(lin.ptilde @ dy))
+    e10_d1 = lin.k1 * (lin.qtilde * dpsi + ptilde_dy)
     e10_d2 = lin.k1 * (lin.qtilde ** 2 * dpsi
-                       + lin.qtilde * float(lin.ptilde @ dy)
+                       + lin.qtilde * ptilde_dy
                        + float(lin.ptilde @ dyd))
 
     phi0, phi0_dot = design.phi0.derivatives(float(t))
@@ -279,7 +279,7 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     e21 = float(lin.k2 @ dyd) + k20 * e20
 
     ebar = np.array([e12, e21])
-    ebar_norm = float(np.linalg.norm(ebar))
+    ebar_norm = float(np.sqrt(ebar @ ebar))
     margin_ebar = 1.0 - phi2 ** 2 * ebar_norm ** 2
     kbar = _gain(design.kappa2, margin_ebar, "ebar", t)
     u_fb = -lin.rho * kbar * ebar

@@ -164,12 +164,10 @@ def phi_tilde_row(params, q):
     """
     p = params
     q = np.asarray(q, dtype=float)
-    beta, gamma = q[..., 3], q[..., 4]
-    row = np.zeros(q.shape[:-1] + (5,))
-    row[..., 1] = -0.5 * p.m3 * p.L3 * np.sin(beta + gamma)
-    row[..., 3] = p.kappa + 0.25 * p.m3 * p.L2 * p.L3 * np.cos(gamma)
-    row[..., 4] = p.kappa
-    return row
+    _, _, _, beta, gamma = robot_mod._components(q)
+    return robot_mod._stack_last(
+        q.shape[:-1], 0.0, -0.5 * p.m3 * p.L3 * np.sin(beta + gamma), 0.0,
+        p.kappa + 0.25 * p.m3 * p.L2 * p.L3 * np.cos(gamma), p.kappa)
 
 
 def internal_coordinates(params, q, v):
@@ -177,7 +175,7 @@ def internal_coordinates(params, q, v):
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     eta2 = np.einsum("...i,...i->...", phi_tilde_row(params, q), v)
-    return q[..., 4], eta2
+    return robot_mod._components(q)[4], eta2
 
 
 def robot_internal_rhs(eta, y, ydot, params):
@@ -252,10 +250,12 @@ def psi(q, v, lin, params):
 
     Evaluates ``[0, 1] t^-1 (p2 h(q) - (eta1, eta2))`` from the physical
     state; linear in ``v`` for fixed ``q``.  Batched over leading
-    dimensions.
+    dimensions; each row takes the vector-matrix and dot kernels of a
+    single state, so a batch gives the bits of its rows.
     """
     q = np.asarray(q, dtype=float)
     eta1, eta2 = internal_coordinates(params, q, v)
     y = robot_mod.output(params, q)
-    shifted = y @ lin.p2.T - np.stack([eta1, eta2], axis=-1)
-    return shifted @ lin.tinv[1]
+    shifted = ((y[..., None, :] @ lin.p2.T)[..., 0, :]
+               - robot_mod._stack_last(q.shape[:-1], eta1, eta2))
+    return np.vecdot(shifted, lin.tinv[1])

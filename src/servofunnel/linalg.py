@@ -47,10 +47,10 @@ def lu_factor_checked(a):
     if not np.isfinite(a).all():
         raise NonFiniteEvaluation("matrix to factorise is not finite")
     lu, piv, info = dgetrf(a)
-    pivots = np.abs(np.diag(lu))
-    if info > 0 or (pivots.size and pivots.min() < PIVOT_RTOL * pivots.max()):
+    pivots = np.abs(lu.diagonal())
+    if info > 0 or (pivots.size and min(pivots) < PIVOT_RTOL * max(pivots)):
         raise SingularMatrix(
-            f"pivot ratio {pivots.min():.3e} / {pivots.max():.3e} below {PIVOT_RTOL:g}"
+            f"pivot ratio {min(pivots):.3e} / {max(pivots):.3e} below {PIVOT_RTOL:g}"
         )
     return lu, piv
 

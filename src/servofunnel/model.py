@@ -9,7 +9,10 @@ A model provides the building blocks of
 
 as callables.  All callables accept arrays with leading batch dimensions
 (coordinates along the last axis) and broadcast; validators only use the
-single-configuration case.
+single-configuration case.  The closed loop passes one ``(n,)`` state
+per integrator stage, so a callable should unpack it into numpy scalars,
+not 0-d arrays, and assemble its result without ``np.stack``, as the
+robot's ``_components`` and ``_stack_last`` do.
 """
 
 from __future__ import annotations

@@ -83,67 +83,88 @@ class RobotParams:
         return self.L2 / 2.0 + self.L3
 
 
+def _components(x):
+    """Components of ``x`` along its last axis.
+
+    One point, a 1-d ``x``, unpacks into numpy scalars, which are far
+    cheaper to compute with than the 0-d arrays ``x[..., i]`` would be;
+    a batch gives the views ``x[..., i]``.
+    """
+    return x if x.ndim == 1 else [x[..., i] for i in range(x.shape[-1])]
+
+
+def _stack_last(shape, *columns):
+    """``columns`` (scalars or arrays of leading ``shape``) along a new last axis."""
+    out = np.empty(shape + (len(columns),))
+    for i, column in enumerate(columns):
+        out[..., i] = column
+    return out
+
+
 def mass_matrix(params, q):
     """Symmetric mass matrix ``M(q)``, batched over leading dimensions."""
     p = params
     q = np.asarray(q, dtype=float)
-    alpha, beta, gamma = q[..., 2], q[..., 3], q[..., 4]
+    _, _, alpha, beta, gamma = _components(q)
     sbg = np.sin(beta + gamma)
     m = np.zeros(q.shape[:-1] + (5, 5))
     m[..., 0, 0] = p.m1
-    m[..., 0, 2] = p.L1 * p.m1 * np.cos(alpha) / 2.0
-    m[..., 2, 0] = m[..., 0, 2]
+    m[..., 0, 2] = m[..., 2, 0] = p.L1 * p.m1 * np.cos(alpha) / 2.0
     m[..., 1, 1] = p.m2 + p.m3
-    m[..., 1, 3] = -p.X3 * p.m3 * sbg - p.L2 * p.m3 * np.sin(beta) / 2.0
-    m[..., 3, 1] = m[..., 1, 3]
-    m[..., 1, 4] = -p.X3 * p.m3 * sbg
-    m[..., 4, 1] = m[..., 1, 4]
+    m[..., 1, 3] = m[..., 3, 1] = -p.X3 * p.m3 * sbg - p.L2 * p.m3 * np.sin(beta) / 2.0
+    m[..., 1, 4] = m[..., 4, 1] = -p.X3 * p.m3 * sbg
     m[..., 2, 2] = p.m1 * p.L1 ** 2 / 4.0 + p.I1
     m[..., 3, 3] = (p.m3 * p.L2 ** 2 / 4.0 + p.m3 * np.cos(gamma) * p.L2 * p.X3
                     + p.m3 * p.X3 ** 2 + p.I2 + p.I3)
-    m[..., 3, 4] = p.m3 * p.X3 ** 2 + p.L2 * p.m3 * np.cos(gamma) * p.X3 / 2.0 + p.I3
-    m[..., 4, 3] = m[..., 3, 4]
+    m[..., 3, 4] = m[..., 4, 3] = (p.m3 * p.X3 ** 2
+                                   + p.L2 * p.m3 * np.cos(gamma) * p.X3 / 2.0 + p.I3)
     m[..., 4, 4] = p.m3 * p.X3 ** 2 + p.I3
     return m
 
 
 def generalized_forces(params, q, v):
-    """Gyroscopic, centrifugal and joint spring-damper forces ``f(q, v)``."""
+    """Gyroscopic, centrifugal and joint spring-damper forces ``f(q, v)``.
+
+    Squares are products: on a numpy scalar ``** 2`` calls ``pow``, which
+    can round differently from the array square of a batch.
+    """
     p = params
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    beta, gamma = q[..., 3], q[..., 4]
-    alpha = q[..., 2]
-    ad, bd, gd = v[..., 2], v[..., 3], v[..., 4]
+    _, _, alpha, beta, gamma = _components(q)
+    _, _, ad, bd, gd = _components(v)
     cbg = np.cos(beta + gamma)
-    f = np.zeros(q.shape[:-1] + (5,))
-    f[..., 0] = 0.5 * p.L1 * ad ** 2 * p.m1 * np.sin(alpha)
-    f[..., 1] = 0.5 * p.m3 * (2.0 * p.X3 * bd ** 2 * cbg
-                              + 2.0 * p.X3 * gd ** 2 * cbg
-                              + p.L2 * bd ** 2 * np.cos(beta)
-                              + 4.0 * p.X3 * bd * gd * cbg)
-    f[..., 3] = 0.5 * p.L2 * p.X3 * gd * p.m3 * np.sin(gamma) * (2.0 * bd + gd)
-    f[..., 4] = (-0.5 * p.L2 * p.X3 * p.m3 * np.sin(gamma) * bd ** 2
-                 - p.D * gd - p.c * gamma)
-    return f
+    return _stack_last(
+        q.shape[:-1],
+        0.5 * p.L1 * (ad * ad) * p.m1 * np.sin(alpha),
+        0.5 * p.m3 * (2.0 * p.X3 * (bd * bd) * cbg
+                      + 2.0 * p.X3 * (gd * gd) * cbg
+                      + p.L2 * (bd * bd) * np.cos(beta)
+                      + 4.0 * p.X3 * bd * gd * cbg),
+        0.0,
+        0.5 * p.L2 * p.X3 * gd * p.m3 * np.sin(gamma) * (2.0 * bd + gd),
+        (-0.5 * p.L2 * p.X3 * p.m3 * np.sin(gamma) * (bd * bd)
+         - p.D * gd - p.c * gamma),
+    )
 
 
 def loop_closure(params, q):
     """Holonomic loop-closure residual ``g(q)`` (zero on the manifold)."""
     p = params
     q = np.asarray(q, dtype=float)
-    s1, s2, alpha, beta = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack([
+    s1, s2, alpha, beta, _ = _components(q)
+    return _stack_last(
+        q.shape[:-1],
         p.L1 * np.cos(alpha) - s2 - p.d + 0.5 * p.L2 * np.cos(beta),
         s1 + p.L1 * np.sin(alpha) - 0.5 * p.L2 * np.sin(beta),
-    ], axis=-1)
+    )
 
 
 def loop_closure_jacobian(params, q):
     """Jacobian ``G(q)`` of the loop-closure residual."""
     p = params
     q = np.asarray(q, dtype=float)
-    alpha, beta = q[..., 2], q[..., 3]
+    _, _, alpha, beta, _ = _components(q)
     g = np.zeros(q.shape[:-1] + (2, 5))
     g[..., 0, 1] = -1.0
     g[..., 0, 2] = -p.L1 * np.sin(alpha)
@@ -159,8 +180,8 @@ def loop_closure_jacobian_dot(params, q, v):
     p = params
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    alpha, beta = q[..., 2], q[..., 3]
-    ad, bd = v[..., 2], v[..., 3]
+    _, _, alpha, beta, _ = _components(q)
+    _, _, ad, bd, _ = _components(v)
     gd = np.zeros(q.shape[:-1] + (2, 5))
     gd[..., 0, 2] = -p.L1 * np.cos(alpha) * ad
     gd[..., 0, 3] = -0.5 * p.L2 * np.cos(beta) * bd
@@ -181,7 +202,8 @@ def input_map(params, q):
 def output(params, q):
     """Outputs ``y = (s2, beta + delta * gamma)``."""
     q = np.asarray(q, dtype=float)
-    return np.stack([q[..., 1], q[..., 3] + params.delta * q[..., 4]], axis=-1)
+    _, s2, _, beta, gamma = _components(q)
+    return _stack_last(q.shape[:-1], s2, beta + params.delta * gamma)
 
 
 def output_jacobian(params, q):
@@ -258,11 +280,9 @@ def initial_state(params):
 def end_effector(params, y):
     """Tool-tip position for output values ``y`` (batched over leading dims)."""
     y = np.asarray(y, dtype=float)
+    y1, y2 = _components(y)
     r = params.arm_radius
-    return np.stack([
-        params.d + y[..., 0] + r * np.cos(y[..., 1]),
-        -r * np.sin(y[..., 1]),
-    ], axis=-1)
+    return _stack_last(y.shape[:-1], params.d + y1 + r * np.cos(y2), -r * np.sin(y2))
 
 
 def output_from_end_effector(params, r_app):
@@ -272,12 +292,12 @@ def output_from_end_effector(params, r_app):
     radius, where the inverse loses differentiability.
     """
     r_app = np.asarray(r_app, dtype=float)
+    r1, r2 = _components(r_app)
     radius = params.arm_radius
-    if np.any(np.abs(r_app[..., 1]) >= radius):
+    if (np.abs(r2) >= radius).any():
         raise OutOfReach(f"|r2| must stay below {radius:.6g}")
-    y2 = np.arcsin(-r_app[..., 1] / radius)
-    y1 = r_app[..., 0] - params.d - radius * np.cos(y2)
-    return np.stack([y1, y2], axis=-1)
+    y2 = np.arcsin(-r2 / radius)
+    return _stack_last(r_app.shape[:-1], r1 - params.d - radius * np.cos(y2), y2)
 
 
 def det_gamma_sign(params, q):

@@ -133,6 +133,8 @@ class Scenario:
             raise ConfigError("scenario values must be finite")
         if min(self.rel_tol, self.abs_tol, self.max_step) <= 0.0:
             raise ConfigError("integrator tolerances must be positive")
+        if self.max_step < MIN_STEP:
+            raise ConfigError(f"max_step must be at least the minimum step {MIN_STEP:g}")
         if self.t_end <= 0.0:
             raise ConfigError("t_end must be positive")
         if len(self.k2) != 2:
@@ -397,9 +399,10 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
             break
         h = min(h, max_step, gap)
         if h < MIN_STEP:
-            raise StepSizeUnderflow(f"step size {h:.3e}", time=t)
+            raise StepSizeUnderflow(f"step size {h:.3e} below the minimum {MIN_STEP:g}",
+                                    time=t)
         for i in range(1, 7):
-            xi = x + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
+            xi = x + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a)
             k[i], stage_aux = _timed(rhs, t + _DP_C[i] * h, xi)
         x5 = xi  # the last stage sits at the fifth-order solution
         x4 = x + h * sum(b * k[j] for j, b in enumerate(_DP_B4) if b)

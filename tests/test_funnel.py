@@ -195,6 +195,31 @@ def test_reference_internal_solves_the_unstable_ode():
     assert np.abs(rate - ode_rate).max() < 2e-8
 
 
+@pytest.mark.parametrize("lead", [(6,), (2, 3)])
+@pytest.mark.parametrize("name", ["timing_law", "reference", "eta_ref"])
+def test_time_functions_batched_match_single(name, lead):
+    _, ref, lin = study_setup()
+    eta_ref = reference_internal(lin, ref)
+    fn, scalar_atol = {
+        "timing_law": (lambda t: timing_law(t, 0.8), 1e-12),
+        "reference": (ref, 1e-12),
+        "eta_ref": (lambda t: (eta_ref(t),), 0.0),
+    }[name]
+    # Times before, inside and after the move.
+    ts = np.random.default_rng(9).uniform(-0.3, 1.3, size=lead + (5,))
+    batched = fn(ts)
+    for idx in np.ndindex(lead):
+        for got, want in zip(batched, fn(ts[idx])):
+            assert np.array_equal(got[idx], want), idx
+    # A single time is a scalar, on which numpy's power rounds
+    # differently from its array power.  The timing law's terms reach 540
+    # before they cancel to at most 1, so it, and the reference built on
+    # it, may move by up to about 1e-13 there.
+    for idx in np.ndindex(ts.shape):
+        for got, want in zip(batched, fn(ts[idx])):
+            assert np.allclose(got[idx], want, rtol=0.0, atol=scalar_atol), idx
+
+
 def test_controller_state_validation():
     with pytest.raises(ValueError):
         ControllerState(eta2_ref=np.inf, eta2_ref0=0.0)

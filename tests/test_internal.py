@@ -140,6 +140,24 @@ def test_internal_coordinates_batched():
         assert abs(eta2[k] - phi_tilde_row(params, qs[k]) @ vs[k]) < 1e-14
 
 
+@pytest.mark.parametrize("lead", [(6,), (2, 3)])
+def test_internal_coordinate_maps_batched_match_single(lead):
+    # One state unpacks into numpy scalars, a batch into views: both
+    # branches must give the same bits.
+    params = RobotParams.reference()
+    lin = linearize(params, *reference_endpoints(params))
+    rng = np.random.default_rng(8)
+    qs = robot_operating_set(params).sample(rng, 6).reshape(lead + (5,))
+    vs = rng.normal(size=lead + (5,))
+    maps = (lambda q, v: phi_tilde_row(params, q),
+            lambda q, v: np.stack(internal_coordinates(params, q, v), axis=-1),
+            lambda q, v: psi(q, v, lin, params))
+    for fn in maps:
+        batched = fn(qs, vs)
+        for idx in np.ndindex(lead):
+            assert np.array_equal(batched[idx], fn(qs[idx], vs[idx])), idx
+
+
 def test_internal_rhs_denominator_singularity():
     params = RobotParams.reference()
     eta = np.array([np.arccos(2.0 / 3.0), 0.0])

@@ -42,12 +42,48 @@ def test_mass_matrix_symmetric_positive_definite(params):
     assert np.linalg.eigvalsh(m).min() > 1e-3
 
 
-def test_mass_matrix_batched_matches_single():
+def assert_rows_match(fn, *batches):
+    """``fn`` on a batch equals ``fn`` on each row of it, bit for bit."""
+    batched = fn(*batches)
+    for idx in np.ndindex(batches[0].shape[:-1]):
+        single = fn(*(b[idx] for b in batches))
+        assert np.array_equal(batched[idx], single), idx
+
+
+_ROBOT_CALLABLES = {
+    "mass_matrix": lambda p, q, v: mass_matrix(p, q),
+    "generalized_forces": generalized_forces,
+    "loop_closure": lambda p, q, v: loop_closure(p, q),
+    "loop_closure_jacobian": lambda p, q, v: loop_closure_jacobian(p, q),
+    "loop_closure_jacobian_dot": loop_closure_jacobian_dot,
+    "output": lambda p, q, v: output(p, q),
+}
+
+
+@pytest.mark.parametrize("lead", [(6,), (2, 3)])
+@pytest.mark.parametrize("name", sorted(_ROBOT_CALLABLES))
+def test_robot_callables_batched_match_single(name, lead):
+    # One state unpacks into numpy scalars, a batch into views: both
+    # branches must give the same bits.
+    params = RobotParams.simulated()
+    qs = sample_configurations(params, 6, seed=5).reshape(lead + (5,))
+    # Rates whose scalar ``** 2`` (a libm ``pow``) rounds differently from
+    # their array square, where this platform has such values.
+    pool = np.random.default_rng(6).normal(size=20000)
+    odd = pool[[np.float64(x) ** 2 != x * x for x in pool]]
+    vs = np.resize(odd if odd.size else pool, lead + (5,))
+    fn = _ROBOT_CALLABLES[name]
+    assert_rows_match(lambda q, v: fn(params, q, v), qs, vs)
+
+
+@pytest.mark.parametrize("lead", [(6,), (2, 3)])
+def test_tool_tip_maps_batched_match_single(lead):
     params = RobotParams.reference()
-    qs = sample_configurations(params, 8, seed=5)
-    batched = mass_matrix(params, qs)
-    for q, m in zip(qs, batched):
-        assert np.array_equal(mass_matrix(params, q), m)
+    rng = np.random.default_rng(7)
+    ys = rng.uniform([-0.5, -0.6], [0.5, 0.6], size=lead + (2,))
+    r_app = end_effector(params, ys)
+    assert_rows_match(lambda y: end_effector(params, y), ys)
+    assert_rows_match(lambda r: output_from_end_effector(params, r), r_app)
 
 
 def test_forces_match_christoffel_construction():

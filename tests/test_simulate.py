@@ -38,6 +38,7 @@ from servofunnel.robot import (
 )
 from servofunnel.simulate import (
     CSV_HEADER,
+    MIN_STEP,
     OPEN_LOOP_MAX_STEP,
     Metrics,
     Scenario,
@@ -141,6 +142,7 @@ def test_adaptive_steps_underflow_on_stiff_decay():
         _rk45(lambda t, x: (-1e20 * x, None), 0.0, 1.0, np.array([1.0]),
               1e-10, 1e-12, 0.1, lambda t, x, aux: None)
     assert caught.value.time == 0.0
+    assert f"below the minimum {MIN_STEP:g}" in str(caught.value)
 
 
 def test_integrator_errors_carry_the_stage_time():
