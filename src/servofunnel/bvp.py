@@ -404,6 +404,9 @@ def feedforward(sol):
     columns = sol.u.T.copy()
 
     def u_ff(t):
-        return np.stack([np.interp(t, sol.grid, u) for u in columns], axis=-1)
+        u = np.empty(np.shape(t) + (len(columns),))
+        for i, column in enumerate(columns):
+            u[..., i] = np.interp(t, sol.grid, column)
+        return u
 
     return u_ff

@@ -54,3 +54,13 @@ def test_sweep_worker_passes_one_c1_lane(tmp_path):
                          "workload": "sweep", "job": 0, "trace": False,
                          "replay": False, "lanes": [lane]})
     assert [op["name"] for op in result["ops"]] == ["C1-simulated"]
+
+
+def test_study_worker_passes(tmp_path):
+    # The study path: compare with its forked C2 lane, the inversion
+    # captured in this process for the replay, and the report digest.
+    result = run_worker({"root": str(ROOT), "out": str(tmp_path),
+                         "workload": "study", "job": 0, "trace": False,
+                         "replay": True})
+    assert result["accuracy"]["ff_replay_err_m"] <= 1e-3
+    assert result["digest"] == "c768dfa7239dae7e"

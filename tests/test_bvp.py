@@ -268,6 +268,10 @@ def test_feedforward_interpolant(quick_solution):
     assert np.abs(u_fn(np.array([4.0])) - sol.u[-1]).max() < 1e-12
     single = u_fn(0.7)
     assert np.asarray(single).shape == (2,)
+    # Each column is numpy's own linear interpolant, to the bit.
+    for t in (0.7, mid):
+        columns = [np.interp(t, sol.grid, u) for u in sol.u.T]
+        assert np.array_equal(u_fn(t), np.stack(columns, axis=-1))
 
 
 def test_grid_refinement_converges():

@@ -1,8 +1,10 @@
 """End-to-end command line tests running in-process."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import servofunnel
 from servofunnel import bvp, simulate
 from servofunnel.cli import run_cli
+from servofunnel.errors import FunnelViolation, StepSizeUnderflow
 
 QUICK_CFG = (
     "params = reference\n"
@@ -157,3 +160,58 @@ def test_compare_produces_study_artifacts(quick_scenario, tmp_path, capsys):
     assert "C1.min_funnel_margin:" in report
     out = capsys.readouterr().out
     assert "wrote" in out
+
+
+def test_compare_lanes_match_simulate(quick_scenario, tmp_path):
+    # C2 runs in the forked process, C1 and C3 in this one; each CSV is
+    # the one the single-mode command writes.
+    assert run_cli(["compare", "--scenario", str(quick_scenario),
+                    "--out", str(tmp_path / "study")]) == 0
+    for mode in ("C1", "C2", "C3"):
+        assert run_cli(["simulate", "--scenario", str(quick_scenario),
+                        "--mode", mode, "--out", str(tmp_path / mode)]) == 0
+        name = f"{mode.lower()}.csv"
+        assert ((tmp_path / "study" / name).read_bytes()
+                == (tmp_path / mode / name).read_bytes())
+
+
+def test_compare_leaves_no_child_process(quick_scenario, tmp_path):
+    assert run_cli(["compare", "--scenario", str(quick_scenario),
+                    "--out", str(tmp_path / "study")]) == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_reports_funnel_exit_of_forked_lane(tmp_path, capsys):
+    # C2 on the reference plant leaves its funnel in the forked process;
+    # the error keeps its type and time across the process boundary.
+    cfg = tmp_path / "exit.cfg"
+    cfg.write_text("params = reference\nt_end = 0.7\n")
+    code = run_cli(["compare", "--scenario", str(cfg),
+                    "--out", str(tmp_path / "study")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ebar reached its funnel boundary at t = 0.631")
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_reports_first_failure_in_mode_order(quick_scenario, tmp_path,
+                                                     monkeypatch, capsys):
+    # Patched before the fork, so the C2 lane inherits it.  C3 fails first
+    # in time, but C2 precedes it in C1, C2, C3 order.
+    integrate = simulate.integrate_closed_loop
+
+    def failing_lanes(scn):
+        if scn.mode == "C2":
+            time.sleep(0.2)
+            raise StepSizeUnderflow("C2 lane", time=0.125)
+        if scn.mode == "C3":
+            raise FunnelViolation("C3 lane", time=0.0625)
+        return integrate(scn)
+
+    monkeypatch.setattr(simulate, "integrate_closed_loop", failing_lanes)
+    code = run_cli(["compare", "--scenario", str(quick_scenario),
+                    "--out", str(tmp_path / "study")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: C2 lane at t = 0.125000\n"
+    assert captured.out.splitlines() == [f"wrote {tmp_path / 'study' / 'c1.csv'}"]
