@@ -71,4 +71,6 @@ class StepSizeUnderflow(ServoFunnelError):
 
 
 class ConfigError(ServoFunnelError):
-    """A scenario file could not be parsed."""
+    """A scenario file could not be read or parsed, or holds an unusable
+    value: non-finite or out of range, an inversion grid that cannot be
+    built, or an empty ``out_dir``."""

@@ -82,6 +82,18 @@ class LinearizedInternalDynamics:
     rho: float
 
 
+def _assemble(model, q):
+    """``([G; H], M^-1 [G^T B], Gamma)`` at one configuration."""
+    q = np.asarray(q, dtype=float)
+    mass = np.asarray(model.mass_matrix(q), dtype=float)
+    cons = np.asarray(model.holonomic_jacobian(q), dtype=float)
+    h_jac = np.asarray(model.output_jacobian(q), dtype=float)
+    b = np.asarray(model.input_map(q), dtype=float)
+    rows = np.concatenate([cons, h_jac], axis=0)
+    minv_cols = solve_linear(mass, np.concatenate([cons.T, b], axis=1))
+    return rows, minv_cols, rows @ minv_cols
+
+
 def high_gain(model, q):
     """Assemble the high-gain matrix and its blocks at a configuration.
 
@@ -89,17 +101,8 @@ def high_gain(model, q):
     singular and ``GammaSingular`` when the full matrix is, or when the
     two Schur complement routes disagree beyond ``SCHUR_CONSISTENCY_TOL``.
     """
-    q = np.asarray(q, dtype=float)
-    mass = np.asarray(model.mass_matrix(q), dtype=float)
-    cons = np.asarray(model.holonomic_jacobian(q), dtype=float)
-    h_jac = np.asarray(model.output_jacobian(q), dtype=float)
-    b = np.asarray(model.input_map(q), dtype=float)
-    n_cons = cons.shape[0]
-    n_in = b.shape[1]
-
-    rows = np.concatenate([cons, h_jac], axis=0)
-    cols = np.concatenate([cons.T, b], axis=1)
-    gamma = rows @ solve_linear(mass, cols)
+    _, _, gamma = _assemble(model, q)
+    n_cons = model.dims.holonomic
     gram = gamma[:n_cons, :n_cons]
 
     if n_cons:
@@ -112,14 +115,14 @@ def high_gain(model, q):
         schur = gamma.copy()
 
     try:
-        gamma_inv = solve_linear(gamma, np.eye(n_cons + n_in))
+        gamma_inv = solve_linear(gamma, np.eye(len(gamma)))
     except SingularMatrix as exc:
         raise GammaSingular(f"high-gain matrix is singular: {exc}") from exc
 
     # The lower-right block of gamma^-1 inverts the Schur complement;
     # disagreement with the elimination route signals ill-conditioning.
     try:
-        schur_direct = solve_linear(gamma_inv[n_cons:, n_cons:], np.eye(n_in))
+        schur_direct = solve_linear(gamma_inv[n_cons:, n_cons:], np.eye(len(schur)))
     except SingularMatrix as exc:
         raise GammaSingular(f"high-gain matrix is singular: {exc}") from exc
     defect = np.abs(schur_direct - schur).max()
@@ -135,20 +138,11 @@ def phi2_rows(model, q):
     Gamma^-1 [G; H])`` whose rows annihilate ``M^-1 [G^T B]``, with ``V``
     an orthonormal kernel basis of the stacked Jacobians, so ``V^T = V^+``.
     """
-    q = np.asarray(q, dtype=float)
-    mass = np.asarray(model.mass_matrix(q), dtype=float)
-    cons = np.asarray(model.holonomic_jacobian(q), dtype=float)
-    h_jac = np.asarray(model.output_jacobian(q), dtype=float)
-    b = np.asarray(model.input_map(q), dtype=float)
-    n = mass.shape[0]
-
-    rows = np.concatenate([cons, h_jac], axis=0)
+    rows, minv_cols, gamma = _assemble(model, q)
+    n = rows.shape[1]
     basis = kernel_basis(rows)
     if basis.shape[1] == 0:
         return np.zeros((0, n))
-    cols = np.concatenate([cons.T, b], axis=1)
-    minv_cols = solve_linear(mass, cols)
-    gamma = rows @ minv_cols
     try:
         correction = minv_cols @ solve_linear(gamma, rows)
     except SingularMatrix as exc:

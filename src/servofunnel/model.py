@@ -94,13 +94,6 @@ class OperatingSet:
         if np.any(self.lower >= self.upper):
             raise ValueError("lower bounds must be strictly below upper bounds")
 
-    def contains(self, q):
-        q = np.asarray(q, dtype=float)
-        inside = np.all(q > self.lower) and np.all(q < self.upper)
-        if inside and self.predicate is not None:
-            inside = bool(self.predicate(q))
-        return inside
-
     def sample(self, rng, count):
         """Draw ``count`` configurations uniformly, rejecting predicate failures."""
         out = np.empty((count, self.lower.size))

@@ -54,15 +54,6 @@ class RobotParams:
         """Perturbed plant parameters (heavier arm) for robustness studies."""
         return replace(cls.reference(), m3=4.1, I3=0.085)
 
-    def homogenized(self):
-        """Copy with the arm treated as an exact homogeneous rod.
-
-        Sets ``X3 = L3 / 2`` and ``I3 = m3 L3^2 / 12`` exactly, replacing the
-        rounded table values.  The sign analysis of the high-gain
-        determinant assumes these relations.
-        """
-        return replace(self, X3=self.L3 / 2.0, I3=self.m3 * self.L3 ** 2 / 12.0)
-
     @property
     def kappa(self):
         """Arm inertia constant ``m3 L3^2 / 3`` of the homogeneous rod.
@@ -239,8 +230,8 @@ def robot_operating_set(params):
     The arm angle is bounded away from two zeros.  ``cos(gamma) = 2/3`` is
     the zero of the rod-rate denominator ``2 - 3 cos(eta1)`` of the
     internal dynamics.  ``cos(gamma) = (I3 + m3 X3^2) / (m3 L3 X3)`` is the
-    zero of the bracket in ``det_gamma_closed_form``, where the high-gain
-    determinant changes sign.  The two coincide for the homogeneous rod;
+    zero of the bracket ``I3 + m3 X3^2 - m3 L3 X3 cos(gamma)``, a factor of
+    the high-gain determinant, where that determinant changes sign.  The two coincide for the homogeneous rod;
     with the rounded table inertia of ``RobotParams.reference()`` the
     second is the tighter one.  The box keeps ``|gamma| < arccos(2/3)``,
     so the bound acts only through the predicate.
@@ -299,35 +290,3 @@ def output_from_end_effector(params, r_app):
     y2 = np.arcsin(-r2 / radius)
     return _stack_last(r_app.shape[:-1], r1 - params.d - radius * np.cos(y2), y2)
 
-
-def det_gamma_sign(params, q):
-    """Determinant of the assembled high-gain matrix ``[G; H] M^-1 [G^T B]``.
-
-    Positive on the open set ``robot_operating_set(params)``, so the vector
-    relative degree is well defined everywhere the controller runs.  It is
-    not bounded away from zero there: it tends to zero at the set's
-    boundary as ``alpha -> 0``, and as ``cos(gamma)`` falls to the set's
-    bound wherever that bound is the zero of the closed-form bracket.
-    The sign follows the orientation of the inputs and outputs; flipping
-    one of them flips it.
-    """
-    q = np.asarray(q, dtype=float)
-    m = mass_matrix(params, q)
-    g = loop_closure_jacobian(params, q)
-    h = output_jacobian(params, q)
-    b = input_map(params, q)
-    rows = np.concatenate([g, h], axis=-2)
-    cols = np.concatenate([np.swapaxes(g, -1, -2), b], axis=-1)
-    gamma = rows @ np.linalg.solve(m, cols)
-    return np.linalg.det(gamma)
-
-
-def det_gamma_closed_form(params, q):
-    """Closed-form high-gain determinant for cross-checking the assembly."""
-    p = params
-    q = np.asarray(q, dtype=float)
-    alpha, beta, gamma = q[..., 2], q[..., 3], q[..., 4]
-    det_m = np.linalg.det(mass_matrix(params, q))
-    numer = (p.I3 + p.m3 * p.X3 ** 2 - p.m3 * p.L3 * p.X3 * np.cos(gamma))
-    return (-p.L1 ** 2 * p.L2 ** 2 * np.sin(alpha) * np.sin(alpha + beta) * numer
-            / ((2.0 * p.L2 + 4.0 * p.L3) * det_m))

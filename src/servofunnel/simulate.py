@@ -139,6 +139,8 @@ class Scenario:
             raise ConfigError("t_end must be positive")
         if len(self.k2) != 2:
             raise ConfigError("K2 needs exactly two entries")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         try:
             self.bvp_options().grid(_reference())
         except BadGrid as exc:

@@ -71,7 +71,7 @@ def test_bad_inversion_keys_are_config_errors(tmp_path, capsys, keys, command):
 @pytest.mark.parametrize("keys", ["t_end = nan\n", "t_end = inf\n",
                                   "funnel.0.q = nan\n", "K1 = nan\n",
                                   "funnel.0.q = -1\n", "funnel.2.kappa = 0\n",
-                                  "max_step = 1e-13\n"])
+                                  "max_step = 1e-13\n", "out_dir =\n"])
 def test_out_of_range_values_are_config_errors(tmp_path, capsys, keys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(keys)

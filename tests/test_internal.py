@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import homogenized
 from servofunnel.errors import DenominatorSingular, GramSingular
 from servofunnel.internal import (
     high_gain,
@@ -115,7 +116,7 @@ def test_phi2_rows_unconstrained_chain():
 
 
 def test_phi_tilde_row_is_momentum_row_for_homogeneous_arm():
-    params = RobotParams.reference().homogenized()
+    params = homogenized(RobotParams.reference())
     rng = np.random.default_rng(4)
     qs = robot_operating_set(params).sample(rng, 100)
     from servofunnel.robot import mass_matrix
@@ -175,7 +176,7 @@ def test_internal_rhs_matches_multibody_flow():
     """
     from servofunnel.simulate import integrate_open_loop
 
-    params = RobotParams.reference().homogenized()
+    params = homogenized(RobotParams.reference())
     model = robot_model(params)
     q0, _ = initial_state(params)
     basis = kernel_basis(np.asarray(model.holonomic_jacobian(q0)))
@@ -236,7 +237,7 @@ def test_psi_rate_tracks_linear_model_along_flow():
     from servofunnel.bvp import equilibrium
     from servofunnel.simulate import integrate_open_loop
 
-    params = RobotParams.reference().homogenized()
+    params = homogenized(RobotParams.reference())
     model = robot_model(params)
     y0, yf = reference_endpoints(params)
     lin = linearize(params, y0, yf)

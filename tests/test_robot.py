@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import contains, det_gamma_closed_form, homogenized
 from servofunnel.errors import InfeasibleGeometry, OutOfReach
+from servofunnel.internal import high_gain
 from servofunnel.linalg import fd_jacobian
 from servofunnel.robot import (
     RobotParams,
-    det_gamma_closed_form,
-    det_gamma_sign,
     end_effector,
     generalized_forces,
     initial_configuration,
@@ -209,19 +209,51 @@ def test_output_endpoints_of_study_targets():
                                  np.arcsin(0.9)])).max() < 1e-12
 
 
+def assembled_det(params, qs):
+    """Determinant of ``internal.high_gain``'s matrix at each configuration."""
+    model = robot_model(params)
+    return np.array([np.linalg.det(high_gain(model, q).gamma) for q in qs])
+
+
 def test_high_gain_determinant_matches_closed_form():
     for params in (RobotParams.reference(), RobotParams.simulated()):
         qs = sample_configurations(params, 200, seed=13)
-        assembled = det_gamma_sign(params, qs)
+        assembled = assembled_det(params, qs)
         closed = det_gamma_closed_form(params, qs)
         rel = np.abs(assembled - closed) / np.abs(closed)
         assert rel.max() < 1e-6
 
 
 def test_high_gain_determinant_positive_for_homogeneous_arm():
-    params = RobotParams.reference().homogenized()
+    params = homogenized(RobotParams.reference())
     qs = sample_configurations(params, 500, seed=17)
-    assert det_gamma_sign(params, qs).min() > 0.0
+    assert assembled_det(params, qs).min() > 0.0
+
+
+@pytest.mark.parametrize("params", [RobotParams.simulated(),
+                                    homogenized(RobotParams.reference())],
+                         ids=["simulated", "homogenized"])
+def test_high_gain_determinant_positive_at_arm_angle_edge(params):
+    # On both sets the binding cosine bound is 2/3, the zero of the
+    # internal dynamics' rod-rate denominator; for the homogeneous rod it
+    # is also the determinant's zero.  Bisect on gamma from the rest state
+    # for the set's edge and probe 1e-6 inside it in cos(gamma).
+    opset = robot_operating_set(params)
+    q0, _ = initial_state(params)
+    q = q0.copy()
+    inside, outside = 0.0, np.pi / 2.0
+    for _ in range(60):
+        q[4] = 0.5 * (inside + outside)
+        if contains(opset, q):
+            inside = q[4]
+        else:
+            outside = q[4]
+    assert abs(np.cos(outside) - 2.0 / 3.0) < 1e-12
+    gamma_edge = np.arccos(np.cos(outside) + 1e-6)
+    probes = np.array([q0, q0])
+    probes[:, 4] = gamma_edge, -gamma_edge
+    assert all(contains(opset, probe) for probe in probes)
+    assert assembled_det(params, probes).min() > 0.0
 
 
 def test_robot_model_bundle_dimensions():
