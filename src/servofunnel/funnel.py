@@ -51,7 +51,7 @@ class FunnelFunction:
         t = np.asarray(t, dtype=float)
         w = self.p * np.exp(-self.qrate * t)
         den = w + self.r
-        return 1.0 / den, self.qrate * w / den ** 2
+        return 1.0 / den, self.qrate * w / (den * den)
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,15 @@ def timing_law(t, tf):
     """
     t = np.asarray(t, dtype=float)
     tau = np.minimum(np.maximum(t / tf, 0.0), 1.0)
-    r = tau ** 5 * (70.0 * tau ** 4 - 315.0 * tau ** 3 + 540.0 * tau ** 2
-                    - 420.0 * tau + 126.0)
-    rdot = 630.0 * tau ** 4 * (1.0 - tau) ** 4 / tf
-    rddot = 2520.0 * tau ** 3 * (1.0 - tau) ** 3 * (1.0 - 2.0 * tau) / tf ** 2
+    tau2 = tau * tau
+    tau3 = tau2 * tau
+    tau4 = tau2 * tau2
+    rest = 1.0 - tau
+    rest3 = rest * rest * rest
+    r = tau4 * tau * (70.0 * tau4 - 315.0 * tau3 + 540.0 * tau2
+                      - 420.0 * tau + 126.0)
+    rdot = 630.0 * tau4 * (rest3 * rest) / tf
+    rddot = 2520.0 * tau3 * rest3 * (1.0 - 2.0 * tau) / tf ** 2
     return r, rdot, rddot
 
 

@@ -63,4 +63,4 @@ def test_study_worker_passes(tmp_path):
                          "workload": "study", "job": 0, "trace": False,
                          "replay": True})
     assert result["accuracy"]["ff_replay_err_m"] <= 1e-3
-    assert result["digest"] == "c768dfa7239dae7e"
+    assert result["digest"] == "e561eee363e0a04d"

@@ -196,14 +196,20 @@ def test_reference_internal_solves_the_unstable_ode():
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3)])
-@pytest.mark.parametrize("name", ["timing_law", "reference", "eta_ref"])
+@pytest.mark.parametrize("name", ["timing_law", "reference", "eta_ref",
+                                  "phi0", "phi1", "phi2"])
 def test_time_functions_batched_match_single(name, lead):
     _, ref, lin = study_setup()
     eta_ref = reference_internal(lin, ref)
-    fn, scalar_atol = {
-        "timing_law": (lambda t: timing_law(t, 0.8), 1e-12),
-        "reference": (ref, 1e-12),
-        "eta_ref": (lambda t: (eta_ref(t),), 0.0),
+    design = FunnelDesign.table_defaults()
+    level = lambda phi: (lambda t: (*phi.derivatives(t), phi.boundary(t)))
+    fn = {
+        "timing_law": lambda t: timing_law(t, 0.8),
+        "reference": ref,
+        "eta_ref": lambda t: (eta_ref(t),),
+        "phi0": level(design.phi0),
+        "phi1": level(design.phi1),
+        "phi2": level(design.phi2),
     }[name]
     # Times before, inside and after the move.
     ts = np.random.default_rng(9).uniform(-0.3, 1.3, size=lead + (5,))
@@ -211,13 +217,11 @@ def test_time_functions_batched_match_single(name, lead):
     for idx in np.ndindex(lead):
         for got, want in zip(batched, fn(ts[idx])):
             assert np.array_equal(got[idx], want), idx
-    # A single time is a scalar, on which numpy's power rounds
-    # differently from its array power.  The timing law's terms reach 540
-    # before they cancel to at most 1, so it, and the reference built on
-    # it, may move by up to about 1e-13 there.
+    # A single time gives the bits of its entry in the batch too, so the
+    # closed loop may evaluate a step's times at once.
     for idx in np.ndindex(ts.shape):
         for got, want in zip(batched, fn(ts[idx])):
-            assert np.allclose(got[idx], want, rtol=0.0, atol=scalar_atol), idx
+            assert np.array_equal(got[idx], want), idx
 
 
 def test_controller_state_validation():

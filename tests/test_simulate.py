@@ -234,8 +234,8 @@ def test_a_rejected_trial_stage_outside_its_funnel_ends_the_run():
 def test_open_loop_replay_keeps_its_fine_step():
     """The replay of the paper inversion measures the inversion, not the
     integrator.  Its own 1e-3 step ceiling bounds every step of the 2.5 s
-    window, and the deviation is 2.763432391250653e-7 m bit for bit.  The
-    closed loop's 1e-2 ceiling would give 1.07e-5 m: the feedforward has
+    window, and the deviation is 1.668351855554917e-7 m bit for bit.  The
+    closed loop's 1e-2 ceiling would give 9.6e-6 m: the feedforward has
     a kink at every node, which costs the integrator its order."""
     sol = solve_bvp(MODEL, ReferenceSignal(PARAMS),
                     robot_boundary_preset(PARAMS), BvpOptions(intervals=350))
@@ -246,7 +246,7 @@ def test_open_loop_replay_keeps_its_fine_step():
     deviation = np.abs(output(PARAMS, qs) - np.asarray(ref(t)[0])).max()
     # Accumulated times round the 1e-3 steps in the last bit of t ~ 2.
     assert np.diff(t).max() <= OPEN_LOOP_MAX_STEP + 1e-15
-    assert deviation == 2.763432391250653e-07
+    assert deviation == 1.668351855554917e-07
 
 
 def test_free_motion_dissipates_energy():
