@@ -233,7 +233,22 @@ def _gain(kappa, margin, label, t):
     return kappa / margin
 
 
-def control(t, q, v, state, lin, design, ref, strict=True):
+def control_signals(t, design, ref):
+    """The inputs of ``control`` that depend on time alone, batched over ``t``.
+
+    Returns ``(y_ref, ydot_ref, phi0, phi0_dot, bound1, bound2)``: the
+    output reference and its rate, ``phi0`` and its rate, and the error
+    bounds ``1 / phi1`` and ``1 / phi2``.  Each entry of a batch has the
+    bits of the same call at its single time, so a row of a batch
+    evaluated ahead of time can stand in for the call.
+    """
+    y_ref, ydot_ref = ref(t)
+    phi0, phi0_dot = design.phi0.derivatives(t)
+    return (y_ref, ydot_ref, phi0, phi0_dot,
+            design.phi1.boundary(t), design.phi2.boundary(t))
+
+
+def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
     """Funnel feedback ``u_fb`` for the robot state at time ``t``.
 
     Builds the internal-coordinate error chain (depth two, with surrogate
@@ -242,15 +257,18 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     ``-rho * kbar * ebar`` together with diagnostics.  Each margin is
     checked before a gain divides by it, in the order e10, e11, e20,
     ebar; the first one that is not positive raises ``FunnelViolation``
-    with the time ``t``.  ``strict`` is accepted and ignored: every
-    evaluation is strict.
+    with the time ``t``.  ``signals`` is ``control_signals`` at ``t``,
+    or its row of a batch; it is evaluated here when not given.
+    ``strict`` is accepted and ignored: every evaluation is strict.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     params = ref.params
     y = robot_mod.output(params, q)
     ydot = robot_mod.output_jacobian(params, q) @ v
-    y_ref, ydot_ref = ref(t)
+    if signals is None:
+        signals = control_signals(float(t), design, ref)
+    y_ref, ydot_ref, phi0, phi0_dot, bound1, bound2 = signals
 
     psi_val = float(psi(q, v, lin, params))
     dpsi = psi_val - state.eta2_ref
@@ -264,9 +282,8 @@ def control(t, q, v, state, lin, design, ref, strict=True):
                        + lin.qtilde * ptilde_dy
                        + float(lin.ptilde @ dyd))
 
-    phi0, phi0_dot = design.phi0.derivatives(float(t))
-    phi1 = 1.0 / design.phi1.boundary(float(t))
-    phi2 = 1.0 / design.phi2.boundary(float(t))
+    phi1 = 1.0 / bound1
+    phi2 = 1.0 / bound2
 
     margin_e10 = 1.0 - phi0 ** 2 * e10 ** 2
     k10 = _gain(design.kappa0, margin_e10, "e10", t)

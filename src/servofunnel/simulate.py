@@ -11,6 +11,7 @@ emission serve the command line.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field, fields
 
@@ -364,6 +365,18 @@ _DP_MID = 0.5 * np.array([6025192743 / 30085553152, 0.0,
                           11237099 / 235043384])
 
 
+# Fractions of the step at which one trial step's time-only signals are
+# evaluated: the new stages 1 to 5, then the midpoint.  Stage 6 shares
+# ``c = 1`` with stage 5, so it reads stage 5's row.
+_ROW_C = np.append(_DP_C[1:6], 0.5)
+_STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
+_MID_ROW = 5
+
+
+def _no_signals(times):
+    return [()] * len(times)
+
+
 def _timed(fn, t, *args):
     """``fn(t, *args)``, stamping ``t`` on a library error that has no time."""
     try:
@@ -375,25 +388,36 @@ def _timed(fn, t, *args):
 
 
 def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
-          check=None):
+          check=None, signals=_no_signals):
     """Adaptive embedded 4(5) integration with PI step-size control.
 
-    ``rhs(t, x)`` returns ``(xdot, aux)``; ``on_accept(t, x, aux)`` runs
-    at the start and after every accepted step with the ``aux`` of the
-    last (FSAL) stage, which sits at the accepted point.  ``check(t, x)``,
-    when given, runs on the dense output at the midpoint of every
-    accepted step, before that step's ``on_accept``.  Library errors from
-    any callable get the time it was called at, so an error raised by a
-    trial stage ends the run even when error control would have rejected
-    that step.  Raises ``StepSizeUnderflow`` when the controller would
-    step below ``MIN_STEP``.
+    ``rhs(t, x, *row)`` returns ``(xdot, aux)``; ``on_accept(t, x, aux)``
+    runs at the start and after every accepted step with the ``aux`` of
+    the last (FSAL) stage, which sits at the accepted point.
+    ``check(t, x, *row)``, when given, runs on the dense output at the
+    midpoint of every accepted step, before that step's ``on_accept``.
+
+    ``row`` carries the inputs that depend on time alone.
+    ``signals(times)`` evaluates them for an array of times at once and
+    returns one tuple per time; by default every row is empty, so the
+    callables take ``(t, x)``.  It is called once at the start and once
+    per trial step, rejected ones included, with the step's new stage
+    times and its midpoint, ``t + _ROW_C * h``; each stage and the
+    midpoint check get the row at their own time, which is bit for bit
+    the time they are called at.
+
+    Library errors from any callable get the time it was called at, so
+    an error raised by a trial stage ends the run even when error
+    control would have rejected that step.  Raises ``StepSizeUnderflow``
+    when the controller would step below ``MIN_STEP``.
     """
     t = float(t_start)
     x = np.asarray(x0, dtype=float).copy()
     h = min(max_step, (t_end - t_start) / 1000.0)
     err_prev = 1.0
     k = [None] * 7
-    k[0], aux = _timed(rhs, t, x)
+    row, = signals(np.array([t]))
+    k[0], aux = _timed(rhs, t, x, *row)
     _timed(on_accept, t, x, aux)
     while True:
         gap = t_end - t
@@ -403,9 +427,11 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
         if h < MIN_STEP:
             raise StepSizeUnderflow(f"step size {h:.3e} below the minimum {MIN_STEP:g}",
                                     time=t)
+        rows = signals(t + _ROW_C * h)
         for i in range(1, 7):
             xi = x + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a)
-            k[i], stage_aux = _timed(rhs, t + _DP_C[i] * h, xi)
+            k[i], stage_aux = _timed(rhs, t + _DP_C[i] * h, xi,
+                                     *rows[_STAGE_ROW[i]])
         x5 = xi  # the last stage sits at the fifth-order solution
         x4 = x + h * sum(b * k[j] for j, b in enumerate(_DP_B4) if b)
         scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x5))
@@ -415,7 +441,7 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
             if check is not None:
                 x_mid = x + h * sum(b * k[j]
                                     for j, b in enumerate(_DP_MID) if b)
-                _timed(check, t + 0.5 * h, x_mid)
+                _timed(check, t + 0.5 * h, x_mid, *rows[_MID_ROW])
             t = t + h
             x = x5
             _timed(on_accept, t, x, stage_aux)
@@ -455,15 +481,18 @@ def integrate_closed_loop(scn):
 
     The plant uses the scenario's parameter preset while the controller,
     the reference and the inversion always use the reference parameters.
-    Accepted points are logged from the ``aux`` of the integrator's
-    evaluation there, so each is evaluated once.  Every evaluation of the
-    feedback checks funnel containment: at every integrator stage, the
-    stages of steps that error control then rejects included, because
-    the gains are undefined outside a funnel; and, with no saddle solve,
-    at the dense output of every accepted step's midpoint.  An error
-    leaving its funnel at any of these points ends the run with
-    ``FunnelViolation`` at that point's time.  Returns
-    ``(TimeSeries, Metrics)``.
+    The inputs that depend on time alone (the feedforward, the reference,
+    the bounded internal reference and the funnel levels) are evaluated
+    once per integrator step, batched over the step's stage times and
+    midpoint; each mode evaluates only those it uses.  Accepted points
+    are logged from the ``aux`` of the integrator's evaluation there, so
+    each is evaluated once.  Every evaluation of the feedback checks
+    funnel containment: at every integrator stage, the stages of steps
+    that error control then rejects included, because the gains are
+    undefined outside a funnel; and, with no saddle solve, at the dense
+    output of every accepted step's midpoint.  An error leaving its
+    funnel at any of these points ends the run with ``FunnelViolation``
+    at that point's time.  Returns ``(TimeSeries, Metrics)``.
     """
     scn.validate()
     plant, _ = get_model(f"{scn.model}-{scn.params}")
@@ -476,8 +505,6 @@ def integrate_closed_loop(scn):
     u_zero = np.zeros(plant.dims.inputs)
     if needs_ff:
         u_ff_fn = bvp_mod.feedforward(_cached_solution(scn))
-    else:
-        u_ff_fn = lambda t: u_zero
 
     if needs_fb:
         lin = internal_mod.linearize(ctrl_params, ref(ref.t_start)[0],
@@ -485,33 +512,44 @@ def integrate_closed_loop(scn):
         eta_ref = funnel_mod.reference_internal(lin, ref)
         eta_ref0 = float(eta_ref(0.0))
 
-    def feedback(t, q, v):
-        state = funnel_mod.ControllerState(eta2_ref=float(eta_ref(t)),
-                                           eta2_ref0=eta_ref0)
-        return funnel_mod.control(t, q, v, state, lin, design, ref)
-
-    def rhs(t, x):
-        q, v = x[:5], x[5:]
-        u_ff = u_ff_fn(t)
+    def signals(times):
+        """Per time, the ``(u_ff, y_ref, boundary, fb)`` that ``rhs``
+        takes after ``(t, x)``; ``fb`` is the feedback's ``(eta_ref,
+        control_signals)``, or None when no feedback runs."""
+        u_ff = u_ff_fn(times) if needs_ff else itertools.repeat(u_zero)
         if needs_fb:
-            u_fb, diag = feedback(t, q, v)
+            fb_signals = funnel_mod.control_signals(times, design, ref)
+            y_ref, boundary = fb_signals[0], fb_signals[-1]
+            fb = zip(eta_ref(times), zip(*fb_signals))
         else:
-            u_fb, diag = u_zero, None
+            y_ref, boundary = ref(times)[0], design.phi2.boundary(times)
+            fb = itertools.repeat(None)
+        return list(zip(u_ff, y_ref, boundary, fb))
+
+    def feedback(t, q, v, fb):
+        eta, fb_signals = fb
+        state = funnel_mod.ControllerState(eta2_ref=float(eta), eta2_ref0=eta_ref0)
+        return funnel_mod.control(t, q, v, state, lin, design, ref,
+                                  signals=fb_signals)
+
+    def rhs(t, x, u_ff, y_ref, boundary, fb):
+        q, v = x[:5], x[5:]
+        u_fb, diag = (u_zero, None) if fb is None else feedback(t, q, v, fb)
         u = u_ff + u_fb
         vdot, lam = index1_accelerations(plant, q, v, u)
-        return np.concatenate([v, vdot]), (u_ff, u_fb, u, lam, diag)
+        return (np.concatenate([v, vdot]),
+                (u_ff, y_ref, boundary, u_fb, u, lam, diag))
 
     rows = []
 
     def on_accept(t, x, aux):
         q, v = x[:5], x[5:]
-        u_ff, u_fb, u, lam, diag = aux
+        u_ff, y_ref, boundary, u_fb, u, lam, diag = aux
         y = np.asarray(plant.output(q), dtype=float)
-        y_ref = ref(t)[0]
         rows.append((  # in the field order of TimeSeries
             t, q.copy(), v.copy(), y, y_ref, u_ff, u_fb, u, lam,
             0.0 if diag is None else diag.ebar_norm,
-            float(design.phi2.boundary(t)),
+            float(boundary),
             float(np.abs(np.asarray(plant.holonomic(q))).max()),
             robot_mod.end_effector(ctrl_params, y_ref),
         ))
@@ -520,7 +558,9 @@ def integrate_closed_loop(scn):
     x0 = np.concatenate([q0, v0])
     _rk45(rhs, 0.0, scn.t_end, x0, scn.rel_tol, scn.abs_tol, scn.max_step,
           on_accept,
-          check=(lambda t, x: feedback(t, x[:5], x[5:])) if needs_fb else None)
+          check=(lambda t, x, *row: feedback(t, x[:5], x[5:], row[-1]))
+          if needs_fb else None,
+          signals=signals)
 
     ts = TimeSeries(*(np.array(column) for column in zip(*rows)))
     ts.validate()

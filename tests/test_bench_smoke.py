@@ -1,5 +1,5 @@
 """Smoke tests of the benchmark worker: one inversion job, untraced and
-traced, and one closed-loop sweep lane.
+traced, one closed-loop sweep lane, untraced and traced, and the study.
 
 They run ``perfbench/worker.py`` the way ``perfbench/run.py`` does, so a
 change to a name the benchmark calls fails here rather than in a
@@ -54,6 +54,23 @@ def test_sweep_worker_passes_one_c1_lane(tmp_path):
                          "workload": "sweep", "job": 0, "trace": False,
                          "replay": False, "lanes": [lane]})
     assert [op["name"] for op in result["ops"]] == ["C1-simulated"]
+
+
+def test_traced_sweep_lane_sees_the_feedback_layers(tmp_path):
+    # The per-layer trace patches the feedback law, the reference and the
+    # bounded internal reference where the closed loop looks them up.  The
+    # lane evaluates each at least once per step; one it bypassed would
+    # count only the worker's set-up calls.
+    lane = {"mode": "C1", "params": "simulated", "kappa2": 50.0, "q": 2.0}
+    result = run_worker({"root": str(ROOT), "out": str(tmp_path),
+                         "workload": "sweep", "job": 0, "trace": True,
+                         "replay": False, "lanes": [lane]})
+    assert result["missing"] == []
+    layers = result["layers"]
+    assert layers["simulate.steps"] > 0
+    for name in ("funnel.control_calls", "funnel.reference_calls",
+                 "funnel.eta_ref_calls"):
+        assert layers[name] >= layers["simulate.steps"], name
 
 
 def test_study_worker_passes(tmp_path):

@@ -43,6 +43,7 @@ from servofunnel.simulate import (
     Metrics,
     Scenario,
     TimeSeries,
+    _DP_C,
     _FUNNEL_FIELDS,
     _SCALAR_KEYS,
     _rk45,
@@ -53,6 +54,7 @@ from servofunnel.simulate import (
     integrate_open_loop,
     parse_scenario,
     run_scenario,
+    solve_inversion,
 )
 
 PARAMS = RobotParams.reference()
@@ -229,6 +231,52 @@ def test_a_rejected_trial_stage_outside_its_funnel_ends_the_run():
         _rk45(rhs, 0.0, 1.0, np.zeros(1), 1e-6, 1e-8, 0.1,
               lambda t, x, aux: None)
     assert caught.value.time == first_out
+
+
+def test_time_signals_are_evaluated_once_per_trial_step():
+    """The pulse above, with the stage time handed over as a signal row:
+    ``signals`` runs once at the start and once per trial step, rejected
+    steps included, and every stage and midpoint check gets the row at
+    its own time, bit for bit."""
+    width = 0.01
+    rate = lambda t: np.array([np.exp(-((t - 0.5) / width) ** 2)
+                               / (width * np.sqrt(np.pi))])
+    calls = []
+    stages = []
+    midpoints = []
+    accepted = []
+
+    def signals(times):
+        calls.append(times.copy())
+        return [(s,) for s in times]
+
+    def rhs(t, x, s):
+        stages.append((t, s))
+        return rate(t), None
+
+    def check(t, x, s):
+        midpoints.append((t, s))
+
+    _rk45(rhs, 0.0, 1.0, np.zeros(1), 1e-6, 1e-8, 0.1,
+          lambda t, x, aux: accepted.append(t), check=check, signals=signals)
+    trials = [stages[i:i + 6] for i in range(1, len(stages), 6)]
+    assert len(calls) == 1 + len(trials)
+    assert len(trials) > len(accepted) - 1  # some trial steps were rejected
+    assert all(t == s for t, s in stages + midpoints)
+    assert stages[0][0] == 0.0 and list(calls[0]) == [0.0]
+
+    # Each trial step's rows sit at its stage times, the two stages at c = 1
+    # sharing one, and its midpoint; the midpoint check of an accepted step
+    # reads the last of them.
+    for times, trial in zip(calls[1:], trials):
+        assert [s for _, s in trial] == [*times[:5], times[4]]
+        start = max(t for t in accepted if t < times[0])
+        h = times[4] - start
+        assert np.allclose((times - start) / h, np.append(_DP_C[1:6], 0.5),
+                           rtol=0.0, atol=1e-9)
+    accepted_mids = [times[5] for times, trial in zip(calls[1:], trials)
+                     if trial[-1][0] in accepted]
+    assert [s for _, s in midpoints] == accepted_mids
 
 
 def test_open_loop_replay_keeps_its_fine_step():
@@ -456,15 +504,22 @@ def test_short_feedforward_run_and_determinism(tmp_path):
     assert pathlib.Path(path).read_bytes() == pathlib.Path(path2).read_bytes()
 
 
-def test_closed_loop_feedback_stays_inside_funnel():
-    scn = Scenario(mode="C2", params="reference", t_end=0.25)
+@pytest.mark.parametrize("mode", ["C1", "C2"])
+def test_closed_loop_feedback_stays_inside_funnel(mode):
+    scn = Scenario(mode=mode, params="reference", t_end=0.25)
     ts, metrics = integrate_closed_loop(scn)
     assert metrics.min_funnel_margin > 0.0
-    assert np.abs(ts.u_ff).max() == 0.0
-    assert np.array_equal(ts.u, ts.u_fb)
+    if mode == "C2":
+        assert np.abs(ts.u_ff).max() == 0.0
+        assert np.array_equal(ts.u, ts.u_fb)
+        u_ff_fn = lambda t: np.zeros(2)
+    else:
+        u_ff_fn = feedforward(solve_inversion(scn))
 
     # The log comes from the integrator's evaluation at each accepted
-    # point; a strict evaluation there must reproduce it bit for bit.
+    # point, whose time-only signals are a row of a batch over the step;
+    # evaluating everything at that point alone must reproduce it bit for
+    # bit.
     ref = ReferenceSignal(PARAMS)
     lin = linearize(PARAMS, np.asarray(ref(ref.t_start)[0]),
                     np.asarray(ref(ref.t_end)[0]), k1=scn.k1, k2=scn.k2)
@@ -474,12 +529,18 @@ def test_closed_loop_feedback_stays_inside_funnel():
         state = ControllerState(eta2_ref=float(eta_ref(t)), eta2_ref0=eta_ref0)
         u_fb, diag = control(t, ts.q[i], ts.v[i], state, lin,
                              scn.funnel_design, ref, strict=True)
-        u = np.zeros(2) + u_fb
+        u_ff = u_ff_fn(t)
+        u = u_ff + u_fb
         _, lam = index1_accelerations(MODEL, ts.q[i], ts.v[i], u)
+        y_ref = ref(t)[0]
+        assert np.array_equal(ts.u_ff[i], u_ff)
         assert np.array_equal(ts.u_fb[i], u_fb)
         assert np.array_equal(ts.u[i], u)
         assert np.array_equal(ts.lam[i], lam)
         assert ts.ebar_norm[i] == diag.ebar_norm
+        assert np.array_equal(ts.y_ref[i], y_ref)
+        assert ts.funnel_boundary[i] == scn.funnel_design.phi2.boundary(t)
+        assert np.array_equal(ts.r_app[i], end_effector(PARAMS, y_ref))
 
 
 def test_cumulative_errors_converged_in_tolerance():
