@@ -9,6 +9,7 @@ funnel boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +151,7 @@ class ControllerState:
     eta2_ref0: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta2_ref) and np.isfinite(self.eta2_ref0)):
+        if not (math.isfinite(self.eta2_ref) and math.isfinite(self.eta2_ref0)):
             raise ValueError("controller state must be finite")
 
 
@@ -238,14 +239,16 @@ def control_signals(t, design, ref):
 
     Returns ``(y_ref, ydot_ref, phi0, phi0_dot, bound1, bound2)``: the
     output reference and its rate, ``phi0`` and its rate, and the error
-    bounds ``1 / phi1`` and ``1 / phi2``.  Each entry of a batch has the
-    bits of the same call at its single time, so a row of a batch
-    evaluated ahead of time can stand in for the call.
+    bounds ``1 / phi1`` and ``1 / phi2``.  The four funnel levels are
+    Python floats at a single time and lists of them for a batch, so
+    ``control`` computes its scalar chain on floats.  Each entry of a
+    batch has the bits of the same call at its single time, so a row of
+    a batch evaluated ahead of time can stand in for the call.
     """
     y_ref, ydot_ref = ref(t)
     phi0, phi0_dot = design.phi0.derivatives(t)
-    return (y_ref, ydot_ref, phi0, phi0_dot,
-            design.phi1.boundary(t), design.phi2.boundary(t))
+    return (y_ref, ydot_ref, phi0.tolist(), phi0_dot.tolist(),
+            design.phi1.boundary(t).tolist(), design.phi2.boundary(t).tolist())
 
 
 def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
@@ -260,6 +263,8 @@ def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
     with the time ``t``.  ``signals`` is ``control_signals`` at ``t``,
     or its row of a batch; it is evaluated here when not given.
     ``strict`` is accepted and ignored: every evaluation is strict.
+    The scalar chain runs on Python floats, which round as numpy's
+    scalars do.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -270,7 +275,7 @@ def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
         signals = control_signals(float(t), design, ref)
     y_ref, ydot_ref, phi0, phi0_dot, bound1, bound2 = signals
 
-    psi_val = float(psi(q, v, lin, params))
+    psi_val = float(psi(q, v, lin, params, y))
     dpsi = psi_val - state.eta2_ref
     dy = y - y_ref
     dyd = ydot - ydot_ref

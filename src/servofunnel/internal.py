@@ -239,17 +239,18 @@ def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01), rho=1.0):
     )
 
 
-def psi(q, v, lin, params):
+def psi(q, v, lin, params, y):
     """Measured realization of the unstable internal coordinate.
 
     Evaluates ``[0, 1] t^-1 (p2 h(q) - (eta1, eta2))`` from the physical
-    state; linear in ``v`` for fixed ``q``.  Batched over leading
-    dimensions; each row takes the vector-matrix and dot kernels of a
-    single state, so a batch gives the bits of its rows.
+    state and its output ``y = robot.output(params, q)``; linear in ``v``
+    for fixed ``q``.  Batched over leading dimensions; each row takes the
+    vector-matrix and dot kernels of a single state, so a batch gives the
+    bits of its rows.
     """
     q = np.asarray(q, dtype=float)
+    y = np.asarray(y, dtype=float)
     eta1, eta2 = internal_coordinates(params, q, v)
-    y = robot_mod.output(params, q)
     shifted = ((y[..., None, :] @ lin.p2.T)[..., 0, :]
                - robot_mod._stack_last(q.shape[:-1], eta1, eta2))
     return np.vecdot(shifted, lin.tinv[1])

@@ -9,10 +9,14 @@ A model provides the building blocks of
 
 as callables.  All callables accept arrays with leading batch dimensions
 (coordinates along the last axis) and broadcast; validators only use the
-single-configuration case.  The closed loop passes one ``(n,)`` state
-per integrator stage, so a callable should unpack it into numpy scalars,
-not 0-d arrays, and assemble its result without ``np.stack``, as the
-robot's ``_components`` and ``_stack_last`` do.
+single-configuration case.  ``index1_terms(q, v)`` returns in one call
+``(M, f, B, G, Gdot, g)``, the terms of the index-1 saddle solve, equal
+to the separate callables; the closed loop evaluates only it, once per
+integrator stage, so a model computes what the terms share once.  The
+closed loop passes one ``(n,)`` state per stage, so a callable should
+unpack it into numpy scalars, not 0-d arrays, and assemble its result
+without ``np.stack``, as the robot's ``_components`` and ``_stack_last``
+do.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ COLOCATION_TOL = 1e-10
 JACOBIAN_TOL = 1e-6
 #: Tolerance on the symmetry defect of the mass matrix.
 SYMMETRY_TOL = 1e-10
+#: Relative tolerance on ``index1_terms`` against the separate callables.
+FUSED_TERMS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,10 @@ class MbsModel:
 
     ``mass_matrix(q)`` must be symmetric positive definite on the operating
     set; ``holonomic_jacobian`` must be the Jacobian of ``holonomic`` and
-    ``output_jacobian`` the Jacobian of ``output``.
+    ``output_jacobian`` the Jacobian of ``output``.  ``index1_terms(q,
+    v)`` returns ``(mass_matrix(q), forces(q, v), input_map(q),
+    holonomic_jacobian(q), holonomic_jacobian_dot(q, v), holonomic(q))``
+    from one evaluation; ``validate_model`` checks that it does.
     """
 
     dims: MbsDims
@@ -68,6 +77,7 @@ class MbsModel:
     holonomic_jacobian: Callable   # q -> (l, n)
     holonomic_jacobian_dot: Callable  # q, v -> (l, n)
     input_map: Callable            # q -> (n, m)
+    index1_terms: Callable         # q, v -> (M, f, B, G, Gdot, g)
     output: Callable               # q -> (m,)
     output_jacobian: Callable      # q -> (m, n)
     name: str = "unnamed"
@@ -121,6 +131,7 @@ class ValidationReport:
     holonomic_jacobian_defect: np.ndarray
     output_jacobian_defect: np.ndarray
     jacobian_dot_defect: np.ndarray
+    fused_terms_defect: np.ndarray
     det_gamma: np.ndarray
     failures: list = field(default_factory=list)
 
@@ -137,6 +148,7 @@ class ValidationReport:
             f"max holonomic Jacobian defect: {self.holonomic_jacobian_defect.max():.3e}",
             f"max output Jacobian defect: {self.output_jacobian_defect.max():.3e}",
             f"max Jacobian time-derivative defect: {self.jacobian_dot_defect.max():.3e}",
+            f"max fused index1_terms defect: {self.fused_terms_defect.max():.3e}",
             f"min |det Gamma|: {np.abs(self.det_gamma).min():.3e}",
             f"passed: {self.passed}",
         ]
@@ -150,7 +162,8 @@ def validate_model(model, operating_set, samples=100, seed=0):
     Verifies that the mass matrix is symmetric positive definite, that the
     provided constraint and output Jacobians match finite differences of
     ``holonomic`` and ``output``, and that ``holonomic_jacobian_dot``
-    matches the directional derivative of ``holonomic_jacobian``.  The
+    matches the directional derivative of ``holonomic_jacobian``, and
+    that ``index1_terms`` equals the separate callables.  The
     high-gain matrix ``Gamma`` must be invertible at every sample, with
     one sign of ``det(Gamma)`` over all of them, so the vector relative
     degree is well defined on the whole set.  Failures are collected in
@@ -171,6 +184,7 @@ def validate_model(model, operating_set, samples=100, seed=0):
         holonomic_jacobian_defect=np.empty(samples),
         output_jacobian_defect=np.empty(samples),
         jacobian_dot_defect=np.empty(samples),
+        fused_terms_defect=np.empty(samples),
         det_gamma=np.zeros(samples),
     )
 
@@ -206,6 +220,11 @@ def validate_model(model, operating_set, samples=100, seed=0):
         else:
             report.jacobian_dot_defect[k] = 0.0
 
+        report.fused_terms_defect[k] = _fused_defect(
+            model.index1_terms(q, v),
+            (mass, model.forces(q, v), model.input_map(q), g_jac,
+             model.holonomic_jacobian_dot(q, v), model.holonomic(q)))
+
         if report.symmetry_defect[k] > SYMMETRY_TOL:
             report.failures.append(
                 f"sample {k}: mass matrix asymmetric by {report.symmetry_defect[k]:.3e}"
@@ -221,6 +240,11 @@ def validate_model(model, operating_set, samples=100, seed=0):
                 report.failures.append(
                     f"sample {k}: {label} defect {defect:.3e} exceeds {JACOBIAN_TOL:g}"
                 )
+        if not report.fused_terms_defect[k] <= FUSED_TERMS_TOL:
+            report.failures.append(
+                f"sample {k}: fused index1_terms differ from the separate callables "
+                f"by {report.fused_terms_defect[k]:.3e} (relative)"
+            )
 
         try:
             report.det_gamma[k] = np.linalg.det(high_gain(model, q).gamma)
@@ -234,6 +258,22 @@ def validate_model(model, operating_set, samples=100, seed=0):
             f"{report.det_gamma.min():.3e} to {report.det_gamma.max():.3e}"
         )
     return report
+
+
+def _fused_defect(fused, separate):
+    """Largest relative entry difference of two term tuples; ``inf`` when
+    their counts or shapes differ, NaN when an entry is not a number."""
+    if len(fused) != len(separate):
+        return np.inf
+    defects = [0.0]
+    for a, b in zip(fused, separate):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if a.shape != b.shape:
+            return np.inf
+        if b.size:
+            defects.append(np.abs(a - b).max() / max(1.0, np.abs(b).max()))
+    return np.max(defects)
 
 
 def is_colocated(model, q):
@@ -290,14 +330,23 @@ def two_mass_model(m1=1.0, m2=1.5, stiffness=40.0, damping=1.2,
         q = np.asarray(q, dtype=float)
         return np.stack([q[..., idx] for idx in output_masses], axis=-1)
 
+    mass_matrix = batched_const(mass)
+    input_map = batched_const(b)
+    no_rows = empty_rows(n)
+
+    def index1_terms(q, v):
+        return (mass_matrix(q), forces(q, v), input_map(q), no_rows(q),
+                no_rows(q), empty_vec(q))
+
     model = MbsModel(
         dims=MbsDims(n=n, holonomic=0, inputs=m_inputs),
-        mass_matrix=batched_const(mass),
+        mass_matrix=mass_matrix,
         forces=forces,
         holonomic=empty_vec,
-        holonomic_jacobian=empty_rows(n),
-        holonomic_jacobian_dot=lambda q, v: empty_rows(n)(q),
-        input_map=batched_const(b),
+        holonomic_jacobian=no_rows,
+        holonomic_jacobian_dot=no_rows,
+        input_map=input_map,
+        index1_terms=index1_terms,
         output=output,
         output_jacobian=batched_const(h_jac),
         name="two-mass",

@@ -190,6 +190,79 @@ def input_map(params, q):
     return b
 
 
+def index1_terms(params, q, v):
+    """``(M, f, B, G, Gdot, g)`` at one state, or batched, in one call.
+
+    The terms the index-1 saddle solve reads, from one set of sines and
+    cosines of alpha, beta, gamma and beta + gamma.  Each entry is the
+    expression of ``mass_matrix``, ``generalized_forces``,
+    ``input_map``, ``loop_closure_jacobian``,
+    ``loop_closure_jacobian_dot`` and ``loop_closure``, so it has their
+    bits.
+    """
+    p = params
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    shape = q.shape[:-1]
+    s1, s2, alpha, beta, gamma = _components(q)
+    _, _, ad, bd, gd = _components(v)
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    sb, cb = np.sin(beta), np.cos(beta)
+    sg, cg = np.sin(gamma), np.cos(gamma)
+    sbg, cbg = np.sin(beta + gamma), np.cos(beta + gamma)
+
+    m = np.zeros(shape + (5, 5))
+    m[..., 0, 0] = p.m1
+    m[..., 0, 2] = m[..., 2, 0] = p.L1 * p.m1 * ca / 2.0
+    m[..., 1, 1] = p.m2 + p.m3
+    m[..., 1, 3] = m[..., 3, 1] = -p.X3 * p.m3 * sbg - p.L2 * p.m3 * sb / 2.0
+    m[..., 1, 4] = m[..., 4, 1] = -p.X3 * p.m3 * sbg
+    m[..., 2, 2] = p.m1 * p.L1 ** 2 / 4.0 + p.I1
+    m[..., 3, 3] = (p.m3 * p.L2 ** 2 / 4.0 + p.m3 * cg * p.L2 * p.X3
+                    + p.m3 * p.X3 ** 2 + p.I2 + p.I3)
+    m[..., 3, 4] = m[..., 4, 3] = (p.m3 * p.X3 ** 2
+                                   + p.L2 * p.m3 * cg * p.X3 / 2.0 + p.I3)
+    m[..., 4, 4] = p.m3 * p.X3 ** 2 + p.I3
+
+    f = _stack_last(
+        shape,
+        0.5 * p.L1 * (ad * ad) * p.m1 * sa,
+        0.5 * p.m3 * (2.0 * p.X3 * (bd * bd) * cbg
+                      + 2.0 * p.X3 * (gd * gd) * cbg
+                      + p.L2 * (bd * bd) * cb
+                      + 4.0 * p.X3 * bd * gd * cbg),
+        0.0,
+        0.5 * p.L2 * p.X3 * gd * p.m3 * sg * (2.0 * bd + gd),
+        (-0.5 * p.L2 * p.X3 * p.m3 * sg * (bd * bd)
+         - p.D * gd - p.c * gamma),
+    )
+
+    b = np.zeros(shape + (5, 2))
+    b[..., 0, 0] = 1.0
+    b[..., 1, 1] = 1.0
+
+    g_jac = np.zeros(shape + (2, 5))
+    g_jac[..., 0, 1] = -1.0
+    g_jac[..., 0, 2] = -p.L1 * sa
+    g_jac[..., 0, 3] = -0.5 * p.L2 * sb
+    g_jac[..., 1, 0] = 1.0
+    g_jac[..., 1, 2] = p.L1 * ca
+    g_jac[..., 1, 3] = -0.5 * p.L2 * cb
+
+    g_dot = np.zeros(shape + (2, 5))
+    g_dot[..., 0, 2] = -p.L1 * ca * ad
+    g_dot[..., 0, 3] = -0.5 * p.L2 * cb * bd
+    g_dot[..., 1, 2] = -p.L1 * sa * ad
+    g_dot[..., 1, 3] = 0.5 * p.L2 * sb * bd
+
+    closure = _stack_last(
+        shape,
+        p.L1 * ca - s2 - p.d + 0.5 * p.L2 * cb,
+        s1 + p.L1 * sa - 0.5 * p.L2 * sb,
+    )
+    return m, f, b, g_jac, g_dot, closure
+
+
 def output(params, q):
     """Outputs ``y = (s2, beta + delta * gamma)``."""
     q = np.asarray(q, dtype=float)
@@ -217,6 +290,7 @@ def robot_model(params):
         holonomic_jacobian=lambda q: loop_closure_jacobian(params, q),
         holonomic_jacobian_dot=lambda q, v: loop_closure_jacobian_dot(params, q, v),
         input_map=lambda q: input_map(params, q),
+        index1_terms=lambda q, v: index1_terms(params, q, v),
         output=lambda q: output(params, q),
         output_jacobian=lambda q: output_jacobian(params, q),
         name="robot",

@@ -65,9 +65,9 @@ def index1_accelerations(model, q, v, u):
 
     Solves the saddle system pairing the mass matrix with the constraint
     Jacobian; the constraint row carries Baumgarte feedback so position
-    and velocity drift decay instead of accumulating.  Returns
-    ``(vdot, lam)``; raises ``SaddleSingular`` when the constraint rows
-    lose rank.
+    and velocity drift decay instead of accumulating.  The model terms
+    come from one ``model.index1_terms`` call.  Returns ``(vdot, lam)``;
+    raises ``SaddleSingular`` when the constraint rows lose rank.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -75,12 +75,9 @@ def index1_accelerations(model, q, v, u):
     n = model.dims.n
     l = model.dims.holonomic
 
-    mass = np.asarray(model.mass_matrix(q), dtype=float)
-    jac = np.asarray(model.holonomic_jacobian(q), dtype=float)
-    jac_dot = np.asarray(model.holonomic_jacobian_dot(q, v), dtype=float)
-    force = (np.asarray(model.forces(q, v), dtype=float)
-             + np.asarray(model.input_map(q), dtype=float) @ u)
-    closure = np.asarray(model.holonomic(q), dtype=float)
+    mass, force, b, jac, jac_dot, closure = (
+        np.asarray(term, dtype=float) for term in model.index1_terms(q, v))
+    force = force + b @ u
 
     saddle = np.zeros((n + l, n + l))
     saddle[:n, :n] = mass
@@ -365,6 +362,21 @@ _DP_MID = 0.5 * np.array([6025192743 / 30085553152, 0.0,
                           11237099 / 235043384])
 
 
+def _pairs(weights):
+    """The nonzero ``(j, a)`` of ``weights``, ``a`` a Python float.
+
+    ``sum`` over ``a * k[j]`` adds the terms left to right after its
+    leading ``0 +``, which turns a sum of zeros into ``+0``; the stage
+    sums keep that, so they have the bits of a numpy loop over the
+    nonzero weights.
+    """
+    return tuple((j, float(a)) for j, a in enumerate(weights) if a)
+
+
+_STAGE_PAIRS = tuple(_pairs(row) for row in _DP_A)
+_B4_PAIRS = _pairs(_DP_B4)
+_MID_PAIRS = _pairs(_DP_MID)
+
 # Fractions of the step at which one trial step's time-only signals are
 # evaluated: the new stages 1 to 5, then the midpoint.  Stage 6 shares
 # ``c = 1`` with stage 5, so it reads stage 5's row.
@@ -429,18 +441,17 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
                                     time=t)
         rows = signals(t + _ROW_C * h)
         for i in range(1, 7):
-            xi = x + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a)
+            xi = x + h * sum([a * k[j] for j, a in _STAGE_PAIRS[i]])
             k[i], stage_aux = _timed(rhs, t + _DP_C[i] * h, xi,
                                      *rows[_STAGE_ROW[i]])
         x5 = xi  # the last stage sits at the fifth-order solution
-        x4 = x + h * sum(b * k[j] for j, b in enumerate(_DP_B4) if b)
+        x4 = x + h * sum([b * k[j] for j, b in _B4_PAIRS])
         scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x5))
         err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
         err = max(err, 1e-10)
         if err <= 1.0:
             if check is not None:
-                x_mid = x + h * sum(b * k[j]
-                                    for j, b in enumerate(_DP_MID) if b)
+                x_mid = x + h * sum([b * k[j] for j, b in _MID_PAIRS])
                 _timed(check, t + 0.5 * h, x_mid, *rows[_MID_ROW])
             t = t + h
             x = x5
@@ -520,7 +531,7 @@ def integrate_closed_loop(scn):
         if needs_fb:
             fb_signals = funnel_mod.control_signals(times, design, ref)
             y_ref, boundary = fb_signals[0], fb_signals[-1]
-            fb = zip(eta_ref(times), zip(*fb_signals))
+            fb = zip(eta_ref(times).tolist(), zip(*fb_signals))
         else:
             y_ref, boundary = ref(times)[0], design.phi2.boundary(times)
             fb = itertools.repeat(None)
@@ -528,7 +539,7 @@ def integrate_closed_loop(scn):
 
     def feedback(t, q, v, fb):
         eta, fb_signals = fb
-        state = funnel_mod.ControllerState(eta2_ref=float(eta), eta2_ref0=eta_ref0)
+        state = funnel_mod.ControllerState(eta2_ref=eta, eta2_ref0=eta_ref0)
         return funnel_mod.control(t, q, v, state, lin, design, ref,
                                   signals=fb_signals)
 

@@ -152,7 +152,7 @@ def test_internal_coordinate_maps_batched_match_single(lead):
     vs = rng.normal(size=lead + (5,))
     maps = (lambda q, v: phi_tilde_row(params, q),
             lambda q, v: np.stack(internal_coordinates(params, q, v), axis=-1),
-            lambda q, v: psi(q, v, lin, params))
+            lambda q, v: psi(q, v, lin, params, output(params, q)))
     for fn in maps:
         batched = fn(qs, vs)
         for idx in np.ndindex(lead):
@@ -223,7 +223,7 @@ def test_psi_fixed_point_at_rest():
     y0, yf = reference_endpoints(params)
     lin = linearize(params, y0, yf)
     q0, v0 = initial_state(params)
-    value = psi(q0, v0, lin, params)
+    value = psi(q0, v0, lin, params, output(params, q0))
     rate = lin.qtilde * value + lin.ptilde @ output(params, q0)
     assert abs(rate) < 1e-9 * abs(lin.ptilde @ output(params, q0))
 
@@ -248,7 +248,7 @@ def test_psi_rate_tracks_linear_model_along_flow():
     t, qs, vs = integrate_open_loop(model, lambda s: np.array(ue),
                                     np.concatenate([qe, v0]), (0.0, 0.08),
                                     rel_tol=1e-10, abs_tol=1e-12, max_step=1e-4)
-    values = psi(qs, vs, lin, params)
+    values = psi(qs, vs, lin, params, output(params, qs))
     model_rate = lin.qtilde * values + output(params, qs) @ lin.ptilde
     fd_rate = np.gradient(values, t)
     interior = slice(2, -2)

@@ -94,6 +94,21 @@ def test_validate_model_catches_wrong_jacobian():
     assert any("output" in msg for msg in report.failures)
 
 
+def test_validate_model_catches_wrong_fused_terms():
+    model, operating_set = two_mass_model()
+
+    def index1_terms(q, v):
+        mass, *rest = model.index1_terms(q, v)
+        return (2.0 * mass, *rest)
+
+    broken = dataclasses.replace(model, index1_terms=index1_terms)
+    report = validate_model(broken, operating_set, samples=10)
+    assert not report.passed
+    assert report.fused_terms_defect.min() > 0.0
+    assert any("fused index1_terms" in msg for msg in report.failures)
+    assert validate_model(model, operating_set, samples=10).fused_terms_defect.max() == 0.0
+
+
 def test_validate_model_catches_a_set_across_the_high_gain_zero():
     """Widen the robot's arm-angle range past the determinant's zero
     ``cos(gamma) = (I3 + m3 X3^2) / (m3 L3 X3)``: the high-gain

@@ -13,6 +13,7 @@ from servofunnel.robot import (
     RobotParams,
     end_effector,
     generalized_forces,
+    index1_terms,
     initial_configuration,
     initial_state,
     input_map,
@@ -74,6 +75,28 @@ def test_robot_callables_batched_match_single(name, lead):
     vs = np.resize(odd if odd.size else pool, lead + (5,))
     fn = _ROBOT_CALLABLES[name]
     assert_rows_match(lambda q, v: fn(params, q, v), qs, vs)
+
+
+def test_index1_terms_equal_the_separate_callables():
+    # The saddle solve reads only the fused terms, so they carry the bits
+    # of the separate callables, at one state and in a batch row alike.
+    params = RobotParams.simulated()
+    qs = sample_configurations(params, 200, seed=22)
+    vs = np.random.default_rng(23).normal(size=qs.shape)
+    separate = {
+        "mass_matrix": lambda q, v: mass_matrix(params, q),
+        "generalized_forces": lambda q, v: generalized_forces(params, q, v),
+        "input_map": lambda q, v: input_map(params, q),
+        "loop_closure_jacobian": lambda q, v: loop_closure_jacobian(params, q),
+        "loop_closure_jacobian_dot": lambda q, v: loop_closure_jacobian_dot(params, q, v),
+        "loop_closure": lambda q, v: loop_closure(params, q),
+    }
+    batched = index1_terms(params, qs, vs)
+    for k in range(len(qs)):
+        single = index1_terms(params, qs[k], vs[k])
+        for (name, fn), term, rows in zip(separate.items(), single, batched):
+            assert np.array_equal(term, fn(qs[k], vs[k])), (name, k)
+            assert np.array_equal(rows[k], term), (name, k)
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3)])

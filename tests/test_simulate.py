@@ -117,10 +117,32 @@ def test_accelerations_reject_rank_deficient_constraints():
         holonomic_jacobian_dot=lambda q, v: np.vstack(
             [MODEL.holonomic_jacobian_dot(q, v),
              MODEL.holonomic_jacobian_dot(q, v)[:1]]),
+        index1_terms=duplicated_first_constraint,
     )
     q0, v0 = initial_state(PARAMS)
     with pytest.raises(SaddleSingular):
         index1_accelerations(degenerate, q0, v0, np.zeros(2))
+
+
+def duplicated_first_constraint(q, v):
+    """The robot's saddle terms with its first constraint row repeated."""
+    mass, force, b, jac, jac_dot, closure = MODEL.index1_terms(q, v)
+    return (mass, force, b, np.vstack([jac, jac[:1]]),
+            np.vstack([jac_dot, jac_dot[:1]]),
+            np.concatenate([closure, closure[:1]]))
+
+
+def test_closed_loop_reads_only_the_fused_saddle_terms(monkeypatch):
+    import servofunnel.robot as robot_mod
+
+    def unused(*args):
+        raise AssertionError("the saddle solve called a separate robot callable")
+
+    for name in ("mass_matrix", "generalized_forces", "loop_closure_jacobian",
+                 "loop_closure_jacobian_dot", "input_map"):
+        monkeypatch.setattr(robot_mod, name, unused)
+    ts, _ = integrate_closed_loop(Scenario(mode="C2", t_end=0.05))
+    assert ts.t[-1] == pytest.approx(0.05)
 
 
 def test_adaptive_steps_hit_requested_accuracy():
