@@ -263,14 +263,18 @@ def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
     with the time ``t``.  ``signals`` is ``control_signals`` at ``t``,
     or its row of a batch; it is evaluated here when not given.
     ``strict`` is accepted and ignored: every evaluation is strict.
-    The scalar chain runs on Python floats, which round as numpy's
-    scalars do.
+    The output ``y = robot.output``, its rate ``H v``, ``psi`` and the
+    scalar chain run on Python floats, which round as numpy's scalars
+    do; the products with ``p2``, ``t^-1``, ``ptilde`` and ``k2`` stay
+    numpy's.
     """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
     params = ref.params
-    y = robot_mod.output(params, q)
-    ydot = robot_mod.output_jacobian(params, q) @ v
+    q = np.asarray(q, dtype=float).tolist()
+    v = np.asarray(v, dtype=float).tolist()
+    _, s2, _, beta, gamma = q
+    delta = params.delta
+    y = np.array([s2, beta + delta * gamma])
+    ydot = np.array([v[1], v[3] + delta * v[4]])
     if signals is None:
         signals = control_signals(float(t), design, ref)
     y_ref, ydot_ref, phi0, phi0_dot, bound1, bound2 = signals

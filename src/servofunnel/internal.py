@@ -9,6 +9,7 @@ a measurable realization of the unstable coordinate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,18 +151,24 @@ def phi2_rows(model, q):
     return basis.T @ (np.eye(n) - correction)
 
 
+def _phi_tilde_entries(params, sin_beta_gamma, cos_gamma):
+    """The nonzero entries ``(r1, r3, r4)`` of ``phi_tilde_row``, from
+    ``sin(beta + gamma)`` and ``cos(gamma)`` as floats or arrays."""
+    p = params
+    return (-0.5 * p.m3 * p.L3 * sin_beta_gamma,
+            p.kappa + 0.25 * p.m3 * p.L2 * p.L3 * cos_gamma, p.kappa)
+
+
 def phi_tilde_row(params, q):
     """Momentum row of the arm joint, proportional to the last mass-matrix row.
 
     Uses the exact homogeneous-rod constants, so it matches the mass
     matrix exactly only when the inertia table does.
     """
-    p = params
     q = np.asarray(q, dtype=float)
     _, _, _, beta, gamma = robot_mod._components(q)
-    return robot_mod._stack_last(
-        q.shape[:-1], 0.0, -0.5 * p.m3 * p.L3 * np.sin(beta + gamma), 0.0,
-        p.kappa + 0.25 * p.m3 * p.L2 * p.L3 * np.cos(gamma), p.kappa)
+    r1, r3, r4 = _phi_tilde_entries(params, np.sin(beta + gamma), np.cos(gamma))
+    return robot_mod._stack_last(q.shape[:-1], 0.0, r1, 0.0, r3, r4)
 
 
 def internal_coordinates(params, q, v):
@@ -240,17 +247,19 @@ def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01), rho=1.0):
 
 
 def psi(q, v, lin, params, y):
-    """Measured realization of the unstable internal coordinate.
+    """Measured realization of the unstable internal coordinate at one state.
 
-    Evaluates ``[0, 1] t^-1 (p2 h(q) - (eta1, eta2))`` from the physical
-    state and its output ``y = robot.output(params, q)``; linear in ``v``
-    for fixed ``q``.  Batched over leading dimensions; each row takes the
-    vector-matrix and dot kernels of a single state, so a batch gives the
-    bits of its rows.
+    Evaluates ``[0, 1] t^-1 (p2 y - (eta1, eta2))`` from the coordinates
+    ``q`` and rates ``v`` of one state (1-d arrays or sequences of
+    floats) and its output ``y = robot.output(params, q)``, a ``(2,)``
+    array; linear in ``v`` for fixed ``q``.  ``eta2``, the product of
+    ``phi_tilde_row`` with ``v``, is summed left to right over the row's
+    nonzero entries on Python floats, which gives the bits of
+    ``internal_coordinates``; the products with ``p2`` and ``t^-1`` stay
+    numpy's.
     """
-    q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    eta1, eta2 = internal_coordinates(params, q, v)
-    shifted = ((y[..., None, :] @ lin.p2.T)[..., 0, :]
-               - robot_mod._stack_last(q.shape[:-1], eta1, eta2))
-    return np.vecdot(shifted, lin.tinv[1])
+    _, _, _, beta, gamma = q
+    _, v1, _, v3, v4 = v
+    r1, r3, r4 = _phi_tilde_entries(params, math.sin(beta + gamma), math.cos(gamma))
+    eta2 = r1 * v1 + r3 * v3 + r4 * v4
+    return np.vecdot(y @ lin.p2.T - (gamma, eta2), lin.tinv[1])

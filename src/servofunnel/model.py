@@ -7,16 +7,24 @@ A model provides the building blocks of
     0 = g(q)                   (l holonomic constraints)
     y = h(q)                   (m outputs)
 
-as callables.  All callables accept arrays with leading batch dimensions
-(coordinates along the last axis) and broadcast; validators only use the
-single-configuration case.  ``index1_terms(q, v)`` returns in one call
-``(M, f, B, G, Gdot, g)``, the terms of the index-1 saddle solve, equal
-to the separate callables; the closed loop evaluates only it, once per
-integrator stage, so a model computes what the terms share once.  The
-closed loop passes one ``(n,)`` state per stage, so a callable should
-unpack it into numpy scalars, not 0-d arrays, and assemble its result
-without ``np.stack``, as the robot's ``_components`` and ``_stack_last``
-do.
+as callables.  All callables but one accept arrays with leading batch
+dimensions (coordinates along the last axis) and broadcast; validators
+only use the single-configuration case.  The exception is the one the
+closed loop evaluates at every integrator stage:
+``index1_saddle(q, v, u, baumgarte)`` takes one state, the ``(n,)``
+arrays ``q`` and ``v`` and the ``(m,)`` input ``u``, and returns the
+index-1 saddle system ``(saddle, rhs)``,
+
+    saddle = [[M, -G^T], [G, 0]]            ((n + l, n + l) array)
+    rhs = (f + B u, -Gdot v - 2 baumgarte G v - baumgarte^2 g)
+
+with ``Gdot`` the time derivative of ``G`` along ``v``.  It equals
+``assemble_saddle`` of the separate callables; ``validate_model`` checks
+that to ``SADDLE_TOL``, and the registered models match it bit for bit.
+A model computes what the entries share once and may build them from
+Python floats.  It keeps ``B u``, ``Gdot v`` and ``G v`` as numpy
+products: numpy may fuse a multiply and an add there, so a sum of Python
+floats would round differently.
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ COLOCATION_TOL = 1e-10
 JACOBIAN_TOL = 1e-6
 #: Tolerance on the symmetry defect of the mass matrix.
 SYMMETRY_TOL = 1e-10
-#: Relative tolerance on ``index1_terms`` against the separate callables.
-FUSED_TERMS_TOL = 1e-12
+#: Relative tolerance on ``index1_saddle`` against ``assemble_saddle``.
+SADDLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,10 +72,10 @@ class MbsModel:
 
     ``mass_matrix(q)`` must be symmetric positive definite on the operating
     set; ``holonomic_jacobian`` must be the Jacobian of ``holonomic`` and
-    ``output_jacobian`` the Jacobian of ``output``.  ``index1_terms(q,
-    v)`` returns ``(mass_matrix(q), forces(q, v), input_map(q),
-    holonomic_jacobian(q), holonomic_jacobian_dot(q, v), holonomic(q))``
-    from one evaluation; ``validate_model`` checks that it does.
+    ``output_jacobian`` the Jacobian of ``output``.  ``index1_saddle(q,
+    v, u, baumgarte)`` returns the saddle system of one state that
+    ``assemble_saddle`` builds from the other callables;
+    ``validate_model`` checks that it does.
     """
 
     dims: MbsDims
@@ -77,7 +85,7 @@ class MbsModel:
     holonomic_jacobian: Callable   # q -> (l, n)
     holonomic_jacobian_dot: Callable  # q, v -> (l, n)
     input_map: Callable            # q -> (n, m)
-    index1_terms: Callable         # q, v -> (M, f, B, G, Gdot, g)
+    index1_saddle: Callable        # q, v, u, baumgarte -> (saddle, rhs)
     output: Callable               # q -> (m,)
     output_jacobian: Callable      # q -> (m, n)
     name: str = "unnamed"
@@ -131,7 +139,7 @@ class ValidationReport:
     holonomic_jacobian_defect: np.ndarray
     output_jacobian_defect: np.ndarray
     jacobian_dot_defect: np.ndarray
-    fused_terms_defect: np.ndarray
+    saddle_defect: np.ndarray
     det_gamma: np.ndarray
     failures: list = field(default_factory=list)
 
@@ -148,7 +156,7 @@ class ValidationReport:
             f"max holonomic Jacobian defect: {self.holonomic_jacobian_defect.max():.3e}",
             f"max output Jacobian defect: {self.output_jacobian_defect.max():.3e}",
             f"max Jacobian time-derivative defect: {self.jacobian_dot_defect.max():.3e}",
-            f"max fused index1_terms defect: {self.fused_terms_defect.max():.3e}",
+            f"max index1_saddle defect: {self.saddle_defect.max():.3e}",
             f"min |det Gamma|: {np.abs(self.det_gamma).min():.3e}",
             f"passed: {self.passed}",
         ]
@@ -163,17 +171,20 @@ def validate_model(model, operating_set, samples=100, seed=0):
     provided constraint and output Jacobians match finite differences of
     ``holonomic`` and ``output``, and that ``holonomic_jacobian_dot``
     matches the directional derivative of ``holonomic_jacobian``, and
-    that ``index1_terms`` equals the separate callables.  The
+    that ``index1_saddle`` equals ``assemble_saddle`` at a random input
+    with ``simulate.BAUMGARTE``.  The
     high-gain matrix ``Gamma`` must be invertible at every sample, with
     one sign of ``det(Gamma)`` over all of them, so the vector relative
     degree is well defined on the whole set.  Failures are collected in
     the report, not raised.
     """
     from .internal import high_gain  # local: model -> internal -> robot -> model
+    from .simulate import BAUMGARTE
 
     rng = np.random.default_rng(seed)
     qs = operating_set.sample(rng, samples)
     vs = rng.standard_normal(qs.shape)
+    us = rng.standard_normal((samples, model.dims.inputs))
     n = model.dims.n
 
     report = ValidationReport(
@@ -184,7 +195,7 @@ def validate_model(model, operating_set, samples=100, seed=0):
         holonomic_jacobian_defect=np.empty(samples),
         output_jacobian_defect=np.empty(samples),
         jacobian_dot_defect=np.empty(samples),
-        fused_terms_defect=np.empty(samples),
+        saddle_defect=np.empty(samples),
         det_gamma=np.zeros(samples),
     )
 
@@ -220,10 +231,9 @@ def validate_model(model, operating_set, samples=100, seed=0):
         else:
             report.jacobian_dot_defect[k] = 0.0
 
-        report.fused_terms_defect[k] = _fused_defect(
-            model.index1_terms(q, v),
-            (mass, model.forces(q, v), model.input_map(q), g_jac,
-             model.holonomic_jacobian_dot(q, v), model.holonomic(q)))
+        report.saddle_defect[k], entry = _saddle_defect(
+            model.index1_saddle(q, v, us[k], BAUMGARTE),
+            assemble_saddle(model, q, v, us[k], BAUMGARTE))
 
         if report.symmetry_defect[k] > SYMMETRY_TOL:
             report.failures.append(
@@ -240,10 +250,10 @@ def validate_model(model, operating_set, samples=100, seed=0):
                 report.failures.append(
                     f"sample {k}: {label} defect {defect:.3e} exceeds {JACOBIAN_TOL:g}"
                 )
-        if not report.fused_terms_defect[k] <= FUSED_TERMS_TOL:
+        if not report.saddle_defect[k] <= SADDLE_TOL:
             report.failures.append(
-                f"sample {k}: fused index1_terms differ from the separate callables "
-                f"by {report.fused_terms_defect[k]:.3e} (relative)"
+                f"sample {k}: index1_saddle {entry} differs from the assembly of "
+                f"the separate callables by {report.saddle_defect[k]:.3e} (relative)"
             )
 
         try:
@@ -260,20 +270,50 @@ def validate_model(model, operating_set, samples=100, seed=0):
     return report
 
 
-def _fused_defect(fused, separate):
-    """Largest relative entry difference of two term tuples; ``inf`` when
-    their counts or shapes differ, NaN when an entry is not a number."""
-    if len(fused) != len(separate):
-        return np.inf
-    defects = [0.0]
-    for a, b in zip(fused, separate):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != b.shape:
-            return np.inf
-        if b.size:
-            defects.append(np.abs(a - b).max() / max(1.0, np.abs(b).max()))
-    return np.max(defects)
+def assemble_saddle(model, q, v, u, baumgarte):
+    """The index-1 saddle system at one state, from the separate callables.
+
+    The numpy assembly that ``index1_saddle`` must reproduce; see the
+    module docstring for the system.
+    """
+    n = model.dims.n
+    l = model.dims.holonomic
+    mass, force, b, jac, jac_dot, closure = (
+        np.asarray(term, dtype=float) for term in (
+            model.mass_matrix(q), model.forces(q, v), model.input_map(q),
+            model.holonomic_jacobian(q), model.holonomic_jacobian_dot(q, v),
+            model.holonomic(q)))
+    saddle = np.zeros((n + l, n + l))
+    saddle[:n, :n] = mass
+    saddle[:n, n:] = -jac.T
+    saddle[n:, :n] = jac
+    rhs = np.concatenate([
+        force + b @ u,
+        -jac_dot @ v - 2.0 * baumgarte * jac @ v - baumgarte ** 2 * closure,
+    ])
+    return saddle, rhs
+
+
+def _saddle_defect(system, reference):
+    """Largest relative entry difference of a ``(saddle, rhs)`` pair from
+    ``reference``, and the name of that entry.
+
+    Each part is scaled by its largest reference entry, at least 1.  The
+    defect is ``inf`` when a shape differs and NaN when an entry is not a
+    number.
+    """
+    defects = []
+    for part, got, want in zip(("saddle", "right-hand side"), system, reference):
+        got = np.asarray(got, dtype=float)
+        if got.shape != want.shape:
+            return np.inf, f"{part} of shape {got.shape}, not {want.shape},"
+        defects.append(np.abs(got - want).ravel() / np.abs(want).max(initial=1.0))
+    defects = np.concatenate(defects)
+    k = int(np.argmax(defects))
+    size, cols = reference[0].size, reference[0].shape[1]
+    entry = (f"saddle entry {divmod(k, cols)}" if k < size
+             else f"right-hand side entry {k - size}")
+    return defects[k], entry
 
 
 def is_colocated(model, q):
@@ -297,6 +337,7 @@ def two_mass_model(m1=1.0, m2=1.5, stiffness=40.0, damping=1.2,
     if m_outputs != m_inputs:
         raise ValueError("need as many outputs as inputs for a square system")
     mass = np.diag([m1, m2])
+    mass.setflags(write=False)
     b = np.zeros((n, m_inputs))
     for col, idx in enumerate(input_masses):
         b[idx, col] = 1.0
@@ -334,9 +375,8 @@ def two_mass_model(m1=1.0, m2=1.5, stiffness=40.0, damping=1.2,
     input_map = batched_const(b)
     no_rows = empty_rows(n)
 
-    def index1_terms(q, v):
-        return (mass_matrix(q), forces(q, v), input_map(q), no_rows(q),
-                no_rows(q), empty_vec(q))
+    def index1_saddle(q, v, u, baumgarte):
+        return mass, forces(q, v) + b @ u
 
     model = MbsModel(
         dims=MbsDims(n=n, holonomic=0, inputs=m_inputs),
@@ -346,7 +386,7 @@ def two_mass_model(m1=1.0, m2=1.5, stiffness=40.0, damping=1.2,
         holonomic_jacobian=no_rows,
         holonomic_jacobian_dot=no_rows,
         input_map=input_map,
-        index1_terms=index1_terms,
+        index1_saddle=index1_saddle,
         output=output,
         output_jacobian=batched_const(h_jac),
         name="two-mass",

@@ -10,7 +10,9 @@ underactuated and, for the output above, non-minimum phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +56,7 @@ class RobotParams:
         """Perturbed plant parameters (heavier arm) for robustness studies."""
         return replace(cls.reference(), m3=4.1, I3=0.085)
 
-    @property
+    @cached_property
     def kappa(self):
         """Arm inertia constant ``m3 L3^2 / 3`` of the homogeneous rod.
 
@@ -63,7 +65,7 @@ class RobotParams:
         """
         return self.m3 * self.L3 ** 2 / 3.0
 
-    @property
+    @cached_property
     def delta(self):
         """Output coupling factor ``2 L3 / (L2 + 2 L3)``."""
         return 2.0 * self.L3 / (self.L2 + 2.0 * self.L3)
@@ -190,77 +192,73 @@ def input_map(params, q):
     return b
 
 
-def index1_terms(params, q, v):
-    """``(M, f, B, G, Gdot, g)`` at one state, or batched, in one call.
+#: ``input_map``'s constant ``B``, for the single-state saddle.
+_INPUT_MAP = np.eye(5, 2)
 
-    The terms the index-1 saddle solve reads, from one set of sines and
-    cosines of alpha, beta, gamma and beta + gamma.  Each entry is the
-    expression of ``mass_matrix``, ``generalized_forces``,
-    ``input_map``, ``loop_closure_jacobian``,
-    ``loop_closure_jacobian_dot`` and ``loop_closure``, so it has their
-    bits.
+
+def index1_saddle(params, q, v, u, baumgarte):
+    """The index-1 saddle system of ``model.py`` at one state.
+
+    Each entry is the expression of the separate callables on Python
+    floats, from one ``sin``/``cos`` per angle, with the signed zeros of
+    ``-G^T`` and ``-Gdot``; ``B u``, ``Gdot v`` and ``G v`` stay numpy
+    products.  So the system has the bits of ``model.assemble_saddle``.
     """
     p = params
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    shape = q.shape[:-1]
-    s1, s2, alpha, beta, gamma = _components(q)
-    _, _, ad, bd, gd = _components(v)
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    sg, cg = np.sin(gamma), np.cos(gamma)
-    sbg, cbg = np.sin(beta + gamma), np.cos(beta + gamma)
+    s1, s2, alpha, beta, gamma = q.tolist()
+    _, _, ad, bd, gd = v.tolist()
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    sg, cg = math.sin(gamma), math.cos(gamma)
+    sbg, cbg = math.sin(beta + gamma), math.cos(beta + gamma)
 
-    m = np.zeros(shape + (5, 5))
-    m[..., 0, 0] = p.m1
-    m[..., 0, 2] = m[..., 2, 0] = p.L1 * p.m1 * ca / 2.0
-    m[..., 1, 1] = p.m2 + p.m3
-    m[..., 1, 3] = m[..., 3, 1] = -p.X3 * p.m3 * sbg - p.L2 * p.m3 * sb / 2.0
-    m[..., 1, 4] = m[..., 4, 1] = -p.X3 * p.m3 * sbg
-    m[..., 2, 2] = p.m1 * p.L1 ** 2 / 4.0 + p.I1
-    m[..., 3, 3] = (p.m3 * p.L2 ** 2 / 4.0 + p.m3 * cg * p.L2 * p.X3
-                    + p.m3 * p.X3 ** 2 + p.I2 + p.I3)
-    m[..., 3, 4] = m[..., 4, 3] = (p.m3 * p.X3 ** 2
-                                   + p.L2 * p.m3 * cg * p.X3 / 2.0 + p.I3)
-    m[..., 4, 4] = p.m3 * p.X3 ** 2 + p.I3
+    m02 = p.L1 * p.m1 * ca / 2.0
+    m13 = -p.X3 * p.m3 * sbg - p.L2 * p.m3 * sb / 2.0
+    m14 = -p.X3 * p.m3 * sbg
+    m22 = p.m1 * p.L1 ** 2 / 4.0 + p.I1
+    m33 = (p.m3 * p.L2 ** 2 / 4.0 + p.m3 * cg * p.L2 * p.X3
+           + p.m3 * p.X3 ** 2 + p.I2 + p.I3)
+    m34 = (p.m3 * p.X3 ** 2
+           + p.L2 * p.m3 * cg * p.X3 / 2.0 + p.I3)
+    m44 = p.m3 * p.X3 ** 2 + p.I3
+    g02, g03 = -p.L1 * sa, -0.5 * p.L2 * sb
+    g12, g13 = p.L1 * ca, -0.5 * p.L2 * cb
+    saddle = np.array([
+        [p.m1, 0.0, m02, 0.0, 0.0, -0.0, -1.0],
+        [0.0, p.m2 + p.m3, 0.0, m13, m14, 1.0, -0.0],
+        [m02, 0.0, m22, 0.0, 0.0, -g02, -g12],
+        [0.0, m13, 0.0, m33, m34, -g03, -g13],
+        [0.0, m14, 0.0, m34, m44, -0.0, -0.0],
+        [0.0, -1.0, g02, g03, 0.0, 0.0, 0.0],
+        [1.0, 0.0, g12, g13, 0.0, 0.0, 0.0],
+    ])
 
-    f = _stack_last(
-        shape,
-        0.5 * p.L1 * (ad * ad) * p.m1 * sa,
-        0.5 * p.m3 * (2.0 * p.X3 * (bd * bd) * cbg
-                      + 2.0 * p.X3 * (gd * gd) * cbg
-                      + p.L2 * (bd * bd) * cb
-                      + 4.0 * p.X3 * bd * gd * cbg),
-        0.0,
-        0.5 * p.L2 * p.X3 * gd * p.m3 * sg * (2.0 * bd + gd),
-        (-0.5 * p.L2 * p.X3 * p.m3 * sg * (bd * bd)
-         - p.D * gd - p.c * gamma),
-    )
+    f0 = 0.5 * p.L1 * (ad * ad) * p.m1 * sa
+    f1 = 0.5 * p.m3 * (2.0 * p.X3 * (bd * bd) * cbg
+                       + 2.0 * p.X3 * (gd * gd) * cbg
+                       + p.L2 * (bd * bd) * cb
+                       + 4.0 * p.X3 * bd * gd * cbg)
+    f3 = 0.5 * p.L2 * p.X3 * gd * p.m3 * sg * (2.0 * bd + gd)
+    f4 = (-0.5 * p.L2 * p.X3 * p.m3 * sg * (bd * bd)
+          - p.D * gd - p.c * gamma)
+    bu0, bu1, bu2, bu3, bu4 = (_INPUT_MAP @ u).tolist()
 
-    b = np.zeros(shape + (5, 2))
-    b[..., 0, 0] = 1.0
-    b[..., 1, 1] = 1.0
-
-    g_jac = np.zeros(shape + (2, 5))
-    g_jac[..., 0, 1] = -1.0
-    g_jac[..., 0, 2] = -p.L1 * sa
-    g_jac[..., 0, 3] = -0.5 * p.L2 * sb
-    g_jac[..., 1, 0] = 1.0
-    g_jac[..., 1, 2] = p.L1 * ca
-    g_jac[..., 1, 3] = -0.5 * p.L2 * cb
-
-    g_dot = np.zeros(shape + (2, 5))
-    g_dot[..., 0, 2] = -p.L1 * ca * ad
-    g_dot[..., 0, 3] = -0.5 * p.L2 * cb * bd
-    g_dot[..., 1, 2] = -p.L1 * sa * ad
-    g_dot[..., 1, 3] = 0.5 * p.L2 * sb * bd
-
-    closure = _stack_last(
-        shape,
-        p.L1 * ca - s2 - p.d + 0.5 * p.L2 * cb,
-        s1 + p.L1 * sa - 0.5 * p.L2 * sb,
-    )
-    return m, f, b, g_jac, g_dot, closure
+    gd02, gd03 = -p.L1 * ca * ad, -0.5 * p.L2 * cb * bd
+    gd12, gd13 = -p.L1 * sa * ad, 0.5 * p.L2 * sb * bd
+    neg_jac_dot = np.array([[-0.0, -0.0, -gd02, -gd03, -0.0],
+                            [-0.0, -0.0, -gd12, -gd13, -0.0]])
+    gain = 2.0 * baumgarte
+    gain_jac = np.array([[0.0, -gain, gain * g02, gain * g03, 0.0],
+                         [gain, 0.0, gain * g12, gain * g13, 0.0]])
+    jdv0, jdv1 = (neg_jac_dot @ v).tolist()
+    gv0, gv1 = (gain_jac @ v).tolist()
+    square = baumgarte ** 2
+    closure0 = p.L1 * ca - s2 - p.d + 0.5 * p.L2 * cb
+    closure1 = s1 + p.L1 * sa - 0.5 * p.L2 * sb
+    rhs = np.array([f0 + bu0, f1 + bu1, 0.0 + bu2, f3 + bu3, f4 + bu4,
+                    jdv0 - gv0 - square * closure0,
+                    jdv1 - gv1 - square * closure1])
+    return saddle, rhs
 
 
 def output(params, q):
@@ -290,7 +288,8 @@ def robot_model(params):
         holonomic_jacobian=lambda q: loop_closure_jacobian(params, q),
         holonomic_jacobian_dot=lambda q, v: loop_closure_jacobian_dot(params, q, v),
         input_map=lambda q: input_map(params, q),
-        index1_terms=lambda q, v: index1_terms(params, q, v),
+        index1_saddle=lambda q, v, u, baumgarte: index1_saddle(
+            params, q, v, u, baumgarte),
         output=lambda q: output(params, q),
         output_jacobian=lambda q: output_jacobian(params, q),
         name="robot",

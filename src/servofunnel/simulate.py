@@ -65,28 +65,14 @@ def index1_accelerations(model, q, v, u):
 
     Solves the saddle system pairing the mass matrix with the constraint
     Jacobian; the constraint row carries Baumgarte feedback so position
-    and velocity drift decay instead of accumulating.  The model terms
-    come from one ``model.index1_terms`` call.  Returns ``(vdot, lam)``;
-    raises ``SaddleSingular`` when the constraint rows lose rank.
+    and velocity drift decay instead of accumulating.  The system comes
+    from one ``model.index1_saddle`` call with ``BAUMGARTE``.  Returns
+    ``(vdot, lam)``; raises ``SaddleSingular`` when the constraint rows
+    lose rank.
     """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = model.dims.n
-    l = model.dims.holonomic
-
-    mass, force, b, jac, jac_dot, closure = (
-        np.asarray(term, dtype=float) for term in model.index1_terms(q, v))
-    force = force + b @ u
-
-    saddle = np.zeros((n + l, n + l))
-    saddle[:n, :n] = mass
-    saddle[:n, n:] = -jac.T
-    saddle[n:, :n] = jac
-    rhs = np.concatenate([
-        force,
-        -jac_dot @ v - 2.0 * BAUMGARTE * jac @ v - BAUMGARTE ** 2 * closure,
-    ])
+    saddle, rhs = model.index1_saddle(
+        np.asarray(q, dtype=float), np.asarray(v, dtype=float),
+        np.asarray(u, dtype=float), BAUMGARTE)
     try:
         sol = solve_linear(saddle, rhs)
     except SingularMatrix as exc:
@@ -94,6 +80,7 @@ def index1_accelerations(model, q, v, u):
     residual = np.abs(saddle @ sol - rhs).max()
     if residual > 1e-10 * max(1.0, np.abs(rhs).max()):
         raise SaddleSingular(f"saddle solve residual {residual:.3e}")
+    n = model.dims.n
     return sol[:n], sol[n:]
 
 

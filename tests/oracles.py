@@ -1,15 +1,17 @@
 """Reference formulas and predicates the tests check the library against.
 
 None of these is on a path the library runs: the high-gain determinant's
-closed form, the exact homogeneous-rod parameter set and membership in
-an operating set.
+closed form, the exact homogeneous-rod parameter set, membership in an
+operating set, and the feedback law on numpy's batched formulas.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from servofunnel.robot import mass_matrix
+from servofunnel.funnel import ControlDiagnostics, _gain
+from servofunnel.internal import internal_coordinates
+from servofunnel.robot import mass_matrix, output, output_jacobian
 
 
 def det_gamma_closed_form(params, q):
@@ -40,3 +42,63 @@ def contains(opset, q):
     if inside and opset.predicate is not None:
         inside = bool(opset.predicate(q))
     return inside
+
+
+def psi_numpy(q, v, lin, params):
+    """The measured unstable coordinate ``[0, 1] t^-1 (p2 h(q) - (eta1,
+    eta2))`` on numpy's batched formulas, batched over leading dimensions."""
+    q = np.asarray(q, dtype=float)
+    y = output(params, q)
+    shifted = ((y[..., None, :] @ lin.p2.T)[..., 0, :]
+               - np.stack(internal_coordinates(params, q, v), axis=-1))
+    return np.vecdot(shifted, lin.tinv[1])
+
+
+def control_numpy(t, q, v, eta2_ref, lin, design, ref, signals):
+    """``funnel.control`` at one state with its measurements on numpy:
+    ``y = robot.output``, ``ydot = H v`` and ``psi_numpy``.
+
+    Returns ``(u_fb, ControlDiagnostics)``.
+    """
+    params = ref.params
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    y = output(params, q)
+    ydot = output_jacobian(params, q) @ v
+    y_ref, ydot_ref, phi0, phi0_dot, bound1, bound2 = signals
+
+    dpsi = float(psi_numpy(q, v, lin, params)) - eta2_ref
+    dy = y - y_ref
+    dyd = ydot - ydot_ref
+    ptilde_dy = float(lin.ptilde @ dy)
+    e10 = lin.k1 * dpsi
+    e10_d1 = lin.k1 * (lin.qtilde * dpsi + ptilde_dy)
+    e10_d2 = lin.k1 * (lin.qtilde ** 2 * dpsi + lin.qtilde * ptilde_dy
+                       + float(lin.ptilde @ dyd))
+    phi1 = 1.0 / bound1
+    phi2 = 1.0 / bound2
+
+    margin_e10 = 1.0 - phi0 ** 2 * e10 ** 2
+    k10 = _gain(design.kappa0, margin_e10, "e10", t)
+    k10_d1 = 2.0 * k10 * (phi0 * phi0_dot * e10 ** 2 + phi0 ** 2 * e10 * e10_d1)
+    e11 = e10_d1 + k10 * e10
+    e11_d1 = e10_d2 + k10 * e10_d1 + k10_d1 * e10
+    margin_e11 = 1.0 - phi1 ** 2 * e11 ** 2
+    k11 = _gain(design.kappa1, margin_e11, "e11", t)
+    e12 = e11_d1 + k11 * e11
+
+    e20 = float(lin.k2 @ dy)
+    margin_e20 = 1.0 - phi0 ** 2 * e20 ** 2
+    k20 = _gain(design.kappa0, margin_e20, "e20", t)
+    e21 = float(lin.k2 @ dyd) + k20 * e20
+
+    ebar = np.array([e12, e21])
+    ebar_norm = float(np.sqrt(ebar @ ebar))
+    margin_ebar = 1.0 - phi2 ** 2 * ebar_norm ** 2
+    kbar = _gain(design.kappa2, margin_ebar, "ebar", t)
+    u_fb = -lin.rho * kbar * ebar
+    return u_fb, ControlDiagnostics(
+        e10=e10, e11=e11, e12=e12, e20=e20, e21=e21,
+        k10=k10, k11=k11, k20=k20, kbar=kbar, ebar_norm=ebar_norm,
+        margin_e10=margin_e10, margin_e11=margin_e11,
+        margin_e20=margin_e20, margin_ebar=margin_ebar, u_fb=u_fb)

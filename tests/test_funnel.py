@@ -1,22 +1,28 @@
 """Tests for funnel shapes, the reference machinery and the feedback law."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from oracles import control_numpy
 from servofunnel.errors import FunnelViolation
 from servofunnel.funnel import (
     REFERENCE_GRID_STEP,
+    ControlDiagnostics,
     ControllerState,
     FunnelDesign,
     FunnelFunction,
     ReferenceSignal,
     control,
+    control_signals,
     reference_internal,
     timing_law,
 )
 from servofunnel.internal import linearize, psi
 from servofunnel.robot import RobotParams, end_effector, initial_state
+from servofunnel.simulate import Scenario, integrate_closed_loop
 
 
 def study_setup():
@@ -290,3 +296,29 @@ def test_control_feedback_direction_flips_with_rho():
     u_pos, _ = control(0.0, q0, v0, state, lin_pos, design, ref)
     u_neg, _ = control(0.0, q0, v0, state, lin_neg, design, ref)
     assert np.array_equal(u_pos, -u_neg)
+
+
+@pytest.mark.parametrize("mode", ["C1", "C2"])
+def test_control_float_chain_matches_the_numpy_formulas(mode):
+    # control measures y, H v and psi on Python floats.  On the logged
+    # states of a short run, and on perturbed copies of them, its
+    # diagnostics and u_fb have the bits of the same law on numpy's
+    # batched formulas.
+    ts, _ = integrate_closed_loop(Scenario(mode=mode, t_end=0.3))
+    params, ref, lin = study_setup()
+    design = FunnelDesign.table_defaults()
+    eta_ref = reference_internal(lin, ref)
+    rng = np.random.default_rng(41)
+    states = list(zip(ts.t, ts.q, ts.v))
+    for _ in range(4):
+        states += [(t, q + 1e-6 * rng.normal(size=5), v + 1e-3 * rng.normal(size=5))
+                   for t, q, v in zip(ts.t, ts.q, ts.v)]
+    for k, (t, q, v) in enumerate(states):
+        signals = control_signals(float(t), design, ref)
+        eta = float(eta_ref(t))
+        u_fb, diag = control(t, q, v, ControllerState(eta2_ref=eta, eta2_ref0=eta),
+                             lin, design, ref, signals=signals)
+        want_u, want = control_numpy(t, q, v, eta, lin, design, ref, signals)
+        assert u_fb.tobytes() == want_u.tobytes(), k
+        for name in (f.name for f in fields(ControlDiagnostics) if f.name != "u_fb"):
+            assert getattr(diag, name).hex() == getattr(want, name).hex(), (k, name)

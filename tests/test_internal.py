@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import homogenized
+from oracles import homogenized, psi_numpy
 from servofunnel.errors import DenominatorSingular, GramSingular
 from servofunnel.internal import (
     high_gain,
@@ -151,12 +151,17 @@ def test_internal_coordinate_maps_batched_match_single(lead):
     qs = robot_operating_set(params).sample(rng, 6).reshape(lead + (5,))
     vs = rng.normal(size=lead + (5,))
     maps = (lambda q, v: phi_tilde_row(params, q),
-            lambda q, v: np.stack(internal_coordinates(params, q, v), axis=-1),
-            lambda q, v: psi(q, v, lin, params, output(params, q)))
+            lambda q, v: np.stack(internal_coordinates(params, q, v), axis=-1))
     for fn in maps:
         batched = fn(qs, vs)
         for idx in np.ndindex(lead):
             assert np.array_equal(batched[idx], fn(qs[idx], vs[idx])), idx
+    # psi takes one state, on floats: each row has the bits of the
+    # batched numpy formula.
+    batched = psi_numpy(qs, vs, lin, params)
+    for idx in np.ndindex(lead):
+        single = psi(qs[idx], vs[idx], lin, params, output(params, qs[idx]))
+        assert np.array_equal(batched[idx], single), idx
 
 
 def test_internal_rhs_denominator_singularity():
@@ -248,7 +253,8 @@ def test_psi_rate_tracks_linear_model_along_flow():
     t, qs, vs = integrate_open_loop(model, lambda s: np.array(ue),
                                     np.concatenate([qe, v0]), (0.0, 0.08),
                                     rel_tol=1e-10, abs_tol=1e-12, max_step=1e-4)
-    values = psi(qs, vs, lin, params, output(params, qs))
+    values = np.array([psi(q, v, lin, params, y)
+                       for q, v, y in zip(qs, vs, output(params, qs))])
     model_rate = lin.qtilde * values + output(params, qs) @ lin.ptilde
     fd_rate = np.gradient(values, t)
     interior = slice(2, -2)

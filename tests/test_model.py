@@ -94,19 +94,25 @@ def test_validate_model_catches_wrong_jacobian():
     assert any("output" in msg for msg in report.failures)
 
 
-def test_validate_model_catches_wrong_fused_terms():
+@pytest.mark.parametrize("part, index, entry", [
+    (0, (1, 0), "saddle entry (1, 0)"),
+    (1, (1,), "right-hand side entry 1"),
+], ids=["saddle", "rhs"])
+def test_validate_model_names_a_wrong_saddle_entry(part, index, entry):
     model, operating_set = two_mass_model()
 
-    def index1_terms(q, v):
-        mass, *rest = model.index1_terms(q, v)
-        return (2.0 * mass, *rest)
+    def index1_saddle(q, v, u, baumgarte):
+        system = [term.copy() for term in model.index1_saddle(q, v, u, baumgarte)]
+        system[part][index] += 0.5
+        return tuple(system)
 
-    broken = dataclasses.replace(model, index1_terms=index1_terms)
+    broken = dataclasses.replace(model, index1_saddle=index1_saddle)
     report = validate_model(broken, operating_set, samples=10)
     assert not report.passed
-    assert report.fused_terms_defect.min() > 0.0
-    assert any("fused index1_terms" in msg for msg in report.failures)
-    assert validate_model(model, operating_set, samples=10).fused_terms_defect.max() == 0.0
+    assert report.saddle_defect.min() > 0.0
+    assert len(report.failures) == 10
+    assert all(f"index1_saddle {entry} differs" in msg for msg in report.failures)
+    assert validate_model(model, operating_set, samples=10).saddle_defect.max() == 0.0
 
 
 def test_validate_model_catches_a_set_across_the_high_gain_zero():

@@ -9,11 +9,12 @@ from oracles import contains, det_gamma_closed_form, homogenized
 from servofunnel.errors import InfeasibleGeometry, OutOfReach
 from servofunnel.internal import high_gain
 from servofunnel.linalg import fd_jacobian
+from servofunnel.model import assemble_saddle
 from servofunnel.robot import (
     RobotParams,
     end_effector,
     generalized_forces,
-    index1_terms,
+    index1_saddle,
     initial_configuration,
     initial_state,
     input_map,
@@ -27,6 +28,7 @@ from servofunnel.robot import (
     robot_model,
     robot_operating_set,
 )
+from servofunnel.simulate import BAUMGARTE
 
 
 def sample_configurations(params, count, seed=0):
@@ -77,26 +79,38 @@ def test_robot_callables_batched_match_single(name, lead):
     assert_rows_match(lambda q, v: fn(params, q, v), qs, vs)
 
 
-def test_index1_terms_equal_the_separate_callables():
-    # The saddle solve reads only the fused terms, so they carry the bits
-    # of the separate callables, at one state and in a batch row alike.
-    params = RobotParams.simulated()
-    qs = sample_configurations(params, 200, seed=22)
-    vs = np.random.default_rng(23).normal(size=qs.shape)
-    separate = {
-        "mass_matrix": lambda q, v: mass_matrix(params, q),
-        "generalized_forces": lambda q, v: generalized_forces(params, q, v),
-        "input_map": lambda q, v: input_map(params, q),
-        "loop_closure_jacobian": lambda q, v: loop_closure_jacobian(params, q),
-        "loop_closure_jacobian_dot": lambda q, v: loop_closure_jacobian_dot(params, q, v),
-        "loop_closure": lambda q, v: loop_closure(params, q),
-    }
-    batched = index1_terms(params, qs, vs)
-    for k in range(len(qs)):
-        single = index1_terms(params, qs[k], vs[k])
-        for (name, fn), term, rows in zip(separate.items(), single, batched):
-            assert np.array_equal(term, fn(qs[k], vs[k])), (name, k)
-            assert np.array_equal(rows[k], term), (name, k)
+@pytest.mark.parametrize("params", [RobotParams.reference(), RobotParams.simulated()],
+                         ids=["reference", "simulated"])
+def test_index1_saddle_equals_the_assembly_of_the_separate_callables(params):
+    # The saddle solve reads only this callable, so its matrix and
+    # right-hand side carry the bits, signed zeros included, of the numpy
+    # assembly from the separate callables.  Rates span five decades, so
+    # the products with v round in every way they can.
+    model = robot_model(params)
+    qs = sample_configurations(params, 10000, seed=22)
+    rng = np.random.default_rng(23)
+    vs = rng.normal(size=qs.shape) * 10.0 ** rng.integers(-3, 2, size=(len(qs), 1))
+    us = rng.normal(scale=50.0, size=(len(qs), 2))
+    for k, (q, v, u) in enumerate(zip(qs, vs, us)):
+        saddle, rhs = index1_saddle(params, q, v, u, BAUMGARTE)
+        want_saddle, want_rhs = assemble_saddle(model, q, v, u, BAUMGARTE)
+        assert saddle.tobytes() == want_saddle.tobytes(), k
+        assert rhs.tobytes() == want_rhs.tobytes(), k
+
+
+def test_derived_constants_are_cached_per_instance():
+    params = RobotParams.reference()
+    assert params.kappa == params.m3 * params.L3 ** 2 / 3.0
+    assert params.delta == 2.0 * params.L3 / (params.L2 + 2.0 * params.L3)
+    heavier = dataclasses.replace(params, m3=4.1)
+    assert heavier.kappa == 4.1 * params.L3 ** 2 / 3.0 != params.kappa
+    assert params.kappa == params.m3 * params.L3 ** 2 / 3.0
+    # The cache lives in the instance dict, outside the fields, so
+    # equality and hashing see only the fields.
+    fresh = RobotParams.reference()
+    assert "kappa" in vars(params) and "kappa" not in vars(fresh)
+    assert params == fresh and hash(params) == hash(fresh)
+    assert params != heavier
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3)])

@@ -27,7 +27,7 @@ from servofunnel.funnel import (
 )
 from servofunnel.internal import linearize
 from servofunnel.linalg import kernel_basis
-from servofunnel.model import MbsDims
+from servofunnel.model import MbsDims, assemble_saddle
 from servofunnel.robot import (
     RobotParams,
     end_effector,
@@ -107,6 +107,8 @@ def test_accelerations_match_kernel_projection():
 def test_accelerations_reject_rank_deficient_constraints():
     import dataclasses
 
+    # The robot with its first constraint repeated; its saddle is the
+    # assembly of these callables, so the solve sees the repeated row.
     degenerate = dataclasses.replace(
         MODEL,
         dims=MbsDims(n=5, holonomic=3, inputs=2),
@@ -117,19 +119,12 @@ def test_accelerations_reject_rank_deficient_constraints():
         holonomic_jacobian_dot=lambda q, v: np.vstack(
             [MODEL.holonomic_jacobian_dot(q, v),
              MODEL.holonomic_jacobian_dot(q, v)[:1]]),
-        index1_terms=duplicated_first_constraint,
+        index1_saddle=lambda q, v, u, baumgarte: assemble_saddle(
+            degenerate, q, v, u, baumgarte),
     )
     q0, v0 = initial_state(PARAMS)
     with pytest.raises(SaddleSingular):
         index1_accelerations(degenerate, q0, v0, np.zeros(2))
-
-
-def duplicated_first_constraint(q, v):
-    """The robot's saddle terms with its first constraint row repeated."""
-    mass, force, b, jac, jac_dot, closure = MODEL.index1_terms(q, v)
-    return (mass, force, b, np.vstack([jac, jac[:1]]),
-            np.vstack([jac_dot, jac_dot[:1]]),
-            np.concatenate([closure, closure[:1]]))
 
 
 def test_closed_loop_reads_only_the_fused_saddle_terms(monkeypatch):
