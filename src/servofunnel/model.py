@@ -11,20 +11,21 @@ as callables.  All callables but one accept arrays with leading batch
 dimensions (coordinates along the last axis) and broadcast; validators
 only use the single-configuration case.  The exception is the one the
 closed loop evaluates at every integrator stage:
-``index1_saddle(q, v, u, baumgarte)`` takes one state, the ``(n,)``
+``index1_solve(q, v, u, baumgarte)`` takes one state, the ``(n,)``
 arrays ``q`` and ``v`` and the ``(m,)`` input ``u``, and returns the
-index-1 saddle system ``(saddle, rhs)``,
+solution ``(vdot, lam)`` of the index-1 saddle system
 
-    saddle = [[M, -G^T], [G, 0]]            ((n + l, n + l) array)
-    rhs = (f + B u, -Gdot v - 2 baumgarte G v - baumgarte^2 g)
+    [[M, -G^T], [G, 0]] (vdot, lam) = (f + B u, c),
+    c = -Gdot v - 2 baumgarte G v - baumgarte^2 g,
 
-with ``Gdot`` the time derivative of ``G`` along ``v``.  It equals
-``assemble_saddle`` of the separate callables; ``validate_model`` checks
-that to ``SADDLE_TOL``, and the registered models match it bit for bit.
-A model computes what the entries share once and may build them from
-Python floats.  It keeps ``B u``, ``Gdot v`` and ``G v`` as numpy
-products: numpy may fuse a multiply and an add there, so a sum of Python
-floats would round differently.
+with ``Gdot`` the time derivative of ``G`` along ``v``.  It raises
+``NonFiniteEvaluation`` for a non-finite state or input and
+``SaddleSingular`` when the system is numerically singular or its
+residual exceeds ``SADDLE_RESIDUAL_RTOL * max(1, |rhs|)``.
+``solve_assembled_saddle`` is the generic form: the checked LU of
+``assemble_saddle``, the system built from the separate callables.  A
+model may solve its own structure instead; ``validate_model`` checks the
+result against the generic form to ``SOLVE_TOL``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GammaSingular, GramSingular
-from .linalg import fd_jacobian
+from .errors import GammaSingular, GramSingular, SaddleSingular, SingularMatrix
+from .linalg import fd_jacobian, solve_linear
 
 #: Infinity-norm tolerance on ``H - B^T`` for the colocation test.
 COLOCATION_TOL = 1e-10
@@ -43,8 +44,10 @@ COLOCATION_TOL = 1e-10
 JACOBIAN_TOL = 1e-6
 #: Tolerance on the symmetry defect of the mass matrix.
 SYMMETRY_TOL = 1e-10
-#: Relative tolerance on ``index1_saddle`` against ``assemble_saddle``.
-SADDLE_TOL = 1e-12
+#: Relative tolerance on ``index1_solve`` against ``solve_assembled_saddle``.
+SOLVE_TOL = 1e-12
+#: Residual bound of a saddle solve, relative to ``max(1, |rhs|)``.
+SADDLE_RESIDUAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,10 +75,10 @@ class MbsModel:
 
     ``mass_matrix(q)`` must be symmetric positive definite on the operating
     set; ``holonomic_jacobian`` must be the Jacobian of ``holonomic`` and
-    ``output_jacobian`` the Jacobian of ``output``.  ``index1_saddle(q,
-    v, u, baumgarte)`` returns the saddle system of one state that
-    ``assemble_saddle`` builds from the other callables;
-    ``validate_model`` checks that it does.
+    ``output_jacobian`` the Jacobian of ``output``.  ``index1_solve(q,
+    v, u, baumgarte)`` returns one state's ``(vdot, lam)``, the solution
+    of the saddle system ``assemble_saddle`` builds from the other
+    callables; ``validate_model`` checks that it is.
     """
 
     dims: MbsDims
@@ -85,7 +88,7 @@ class MbsModel:
     holonomic_jacobian: Callable   # q -> (l, n)
     holonomic_jacobian_dot: Callable  # q, v -> (l, n)
     input_map: Callable            # q -> (n, m)
-    index1_saddle: Callable        # q, v, u, baumgarte -> (saddle, rhs)
+    index1_solve: Callable         # q, v, u, baumgarte -> (vdot, lam)
     output: Callable               # q -> (m,)
     output_jacobian: Callable      # q -> (m, n)
     name: str = "unnamed"
@@ -139,7 +142,7 @@ class ValidationReport:
     holonomic_jacobian_defect: np.ndarray
     output_jacobian_defect: np.ndarray
     jacobian_dot_defect: np.ndarray
-    saddle_defect: np.ndarray
+    solve_defect: np.ndarray
     det_gamma: np.ndarray
     failures: list = field(default_factory=list)
 
@@ -156,7 +159,7 @@ class ValidationReport:
             f"max holonomic Jacobian defect: {self.holonomic_jacobian_defect.max():.3e}",
             f"max output Jacobian defect: {self.output_jacobian_defect.max():.3e}",
             f"max Jacobian time-derivative defect: {self.jacobian_dot_defect.max():.3e}",
-            f"max index1_saddle defect: {self.saddle_defect.max():.3e}",
+            f"max index1_solve defect against the LU: {self.solve_defect.max():.3e}",
             f"min |det Gamma|: {np.abs(self.det_gamma).min():.3e}",
             f"passed: {self.passed}",
         ]
@@ -171,8 +174,8 @@ def validate_model(model, operating_set, samples=100, seed=0):
     provided constraint and output Jacobians match finite differences of
     ``holonomic`` and ``output``, and that ``holonomic_jacobian_dot``
     matches the directional derivative of ``holonomic_jacobian``, and
-    that ``index1_saddle`` equals ``assemble_saddle`` at a random input
-    with ``simulate.BAUMGARTE``.  The
+    that ``index1_solve`` agrees with ``solve_assembled_saddle`` at a
+    random input with ``simulate.BAUMGARTE``.  The
     high-gain matrix ``Gamma`` must be invertible at every sample, with
     one sign of ``det(Gamma)`` over all of them, so the vector relative
     degree is well defined on the whole set.  Failures are collected in
@@ -195,7 +198,7 @@ def validate_model(model, operating_set, samples=100, seed=0):
         holonomic_jacobian_defect=np.empty(samples),
         output_jacobian_defect=np.empty(samples),
         jacobian_dot_defect=np.empty(samples),
-        saddle_defect=np.empty(samples),
+        solve_defect=np.empty(samples),
         det_gamma=np.zeros(samples),
     )
 
@@ -231,9 +234,9 @@ def validate_model(model, operating_set, samples=100, seed=0):
         else:
             report.jacobian_dot_defect[k] = 0.0
 
-        report.saddle_defect[k], entry = _saddle_defect(
-            model.index1_saddle(q, v, us[k], BAUMGARTE),
-            assemble_saddle(model, q, v, us[k], BAUMGARTE))
+        report.solve_defect[k], entry = _solve_defect(
+            model.index1_solve(q, v, us[k], BAUMGARTE),
+            solve_assembled_saddle(model, q, v, us[k], BAUMGARTE))
 
         if report.symmetry_defect[k] > SYMMETRY_TOL:
             report.failures.append(
@@ -250,10 +253,10 @@ def validate_model(model, operating_set, samples=100, seed=0):
                 report.failures.append(
                     f"sample {k}: {label} defect {defect:.3e} exceeds {JACOBIAN_TOL:g}"
                 )
-        if not report.saddle_defect[k] <= SADDLE_TOL:
+        if not report.solve_defect[k] <= SOLVE_TOL:
             report.failures.append(
-                f"sample {k}: index1_saddle {entry} differs from the assembly of "
-                f"the separate callables by {report.saddle_defect[k]:.3e} (relative)"
+                f"sample {k}: index1_solve {entry} differs from the LU of the "
+                f"assembled saddle by {report.solve_defect[k]:.3e} (relative)"
             )
 
         try:
@@ -271,11 +274,8 @@ def validate_model(model, operating_set, samples=100, seed=0):
 
 
 def assemble_saddle(model, q, v, u, baumgarte):
-    """The index-1 saddle system at one state, from the separate callables.
-
-    The numpy assembly that ``index1_saddle`` must reproduce; see the
-    module docstring for the system.
-    """
+    """The index-1 saddle system ``(saddle, rhs)`` at one state, from the
+    separate callables; see the module docstring for the system."""
     n = model.dims.n
     l = model.dims.holonomic
     mass, force, b, jac, jac_dot, closure = (
@@ -294,26 +294,45 @@ def assemble_saddle(model, q, v, u, baumgarte):
     return saddle, rhs
 
 
-def _saddle_defect(system, reference):
-    """Largest relative entry difference of a ``(saddle, rhs)`` pair from
+def solve_assembled_saddle(model, q, v, u, baumgarte):
+    """``(vdot, lam)`` at one state by the checked LU of ``assemble_saddle``.
+
+    The generic ``index1_solve``, and the reference ``validate_model``
+    checks every model's against.  Raises ``SaddleSingular`` on a pivot
+    below ``linalg.PIVOT_RTOL`` of the largest or a residual above
+    ``SADDLE_RESIDUAL_RTOL * max(1, |rhs|)``, and ``NonFiniteEvaluation``
+    when the system is not finite.
+    """
+    saddle, rhs = assemble_saddle(model, q, v, u, baumgarte)
+    try:
+        sol = solve_linear(saddle, rhs)
+    except SingularMatrix as exc:
+        raise SaddleSingular(f"constraint rows lost rank: {exc}") from exc
+    residual = np.abs(saddle @ sol - rhs).max()
+    if not residual <= SADDLE_RESIDUAL_RTOL * max(1.0, np.abs(rhs).max()):
+        raise SaddleSingular(f"saddle solve residual {residual:.3e}")
+    n = model.dims.n
+    return sol[:n], sol[n:]
+
+
+def _solve_defect(solution, reference):
+    """Largest relative entry difference of a ``(vdot, lam)`` pair from
     ``reference``, and the name of that entry.
 
     Each part is scaled by its largest reference entry, at least 1.  The
     defect is ``inf`` when a shape differs and NaN when an entry is not a
     number.
     """
-    defects = []
-    for part, got, want in zip(("saddle", "right-hand side"), system, reference):
+    defects, names = [], []
+    for part, got, want in zip(("vdot", "lam"), solution, reference):
         got = np.asarray(got, dtype=float)
         if got.shape != want.shape:
             return np.inf, f"{part} of shape {got.shape}, not {want.shape},"
-        defects.append(np.abs(got - want).ravel() / np.abs(want).max(initial=1.0))
+        defects.append(np.abs(got - want) / np.abs(want).max(initial=1.0))
+        names += [f"{part} entry {i}" for i in range(want.size)]
     defects = np.concatenate(defects)
     k = int(np.argmax(defects))
-    size, cols = reference[0].size, reference[0].shape[1]
-    entry = (f"saddle entry {divmod(k, cols)}" if k < size
-             else f"right-hand side entry {k - size}")
-    return defects[k], entry
+    return defects[k], names[k]
 
 
 def is_colocated(model, q):
@@ -337,7 +356,6 @@ def two_mass_model(m1=1.0, m2=1.5, stiffness=40.0, damping=1.2,
     if m_outputs != m_inputs:
         raise ValueError("need as many outputs as inputs for a square system")
     mass = np.diag([m1, m2])
-    mass.setflags(write=False)
     b = np.zeros((n, m_inputs))
     for col, idx in enumerate(input_masses):
         b[idx, col] = 1.0
@@ -375,8 +393,8 @@ def two_mass_model(m1=1.0, m2=1.5, stiffness=40.0, damping=1.2,
     input_map = batched_const(b)
     no_rows = empty_rows(n)
 
-    def index1_saddle(q, v, u, baumgarte):
-        return mass, forces(q, v) + b @ u
+    def index1_solve(q, v, u, baumgarte):
+        return solve_assembled_saddle(model, q, v, u, baumgarte)
 
     model = MbsModel(
         dims=MbsDims(n=n, holonomic=0, inputs=m_inputs),
@@ -386,7 +404,7 @@ def two_mass_model(m1=1.0, m2=1.5, stiffness=40.0, damping=1.2,
         holonomic_jacobian=no_rows,
         holonomic_jacobian_dot=no_rows,
         input_map=input_map,
-        index1_saddle=index1_saddle,
+        index1_solve=index1_solve,
         output=output,
         output_jacobian=batched_const(h_jac),
         name="two-mass",

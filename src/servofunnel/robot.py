@@ -16,8 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleGeometry, OutOfReach
-from .model import MbsDims, MbsModel, OperatingSet
+from .errors import InfeasibleGeometry, NonFiniteEvaluation, OutOfReach, SaddleSingular
+from .linalg import PIVOT_RTOL
+from .model import SADDLE_RESIDUAL_RTOL, MbsDims, MbsModel, OperatingSet
 
 
 @dataclass(frozen=True)
@@ -192,73 +193,137 @@ def input_map(params, q):
     return b
 
 
-#: ``input_map``'s constant ``B``, for the single-state saddle.
-_INPUT_MAP = np.eye(5, 2)
+def index1_solve(params, q, v, u, baumgarte):
+    """Accelerations and multipliers of the index-1 system of ``model.py``
+    at one state, by block elimination on Python floats.
 
+    ``M`` is block-diagonal over ``(s1, alpha)`` and ``(s2, beta,
+    gamma)``, and ``G`` has two rows, so the saddle reduces to its 2x2
+    Schur complement (Benzi, Golub & Liesen, Acta Numerica 14, 2005,
+    sec. 5): both blocks are inverted by cofactors, then ``W = M^-1 G^T``,
+    ``z = M^-1 (f + B u)``, ``S = G W``, ``lam = S^-1 (c - G z)`` and
+    ``vdot = z + W lam``, with ``c`` the constraint rows' right-hand side.
+    Every term comes from one ``sin``/``cos`` per angle.
 
-def index1_saddle(params, q, v, u, baumgarte):
-    """The index-1 saddle system of ``model.py`` at one state.
-
-    Each entry is the expression of the separate callables on Python
-    floats, from one ``sin``/``cos`` per angle, with the signed zeros of
-    ``-G^T`` and ``-Gdot``; ``B u``, ``Gdot v`` and ``G v`` stay numpy
-    products.  So the system has the bits of ``model.assemble_saddle``.
+    Raises ``NonFiniteEvaluation`` when the state or input is not finite,
+    and ``SaddleSingular`` when a pivot of the elimination falls below
+    ``PIVOT_RTOL`` times its block's largest entry or the residual of the
+    seven saddle rows exceeds ``SADDLE_RESIDUAL_RTOL * max(1, |rhs|)``.
     """
     p = params
     s1, s2, alpha, beta, gamma = q.tolist()
-    _, _, ad, bd, gd = v.tolist()
+    v0, v1, ad, bd, gd = v.tolist()
+    u0, u1 = u.tolist()
+    if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)):
+        raise NonFiniteEvaluation("state is not finite")
     sa, ca = math.sin(alpha), math.cos(alpha)
     sb, cb = math.sin(beta), math.cos(beta)
     sg, cg = math.sin(gamma), math.cos(gamma)
     sbg, cbg = math.sin(beta + gamma), math.cos(beta + gamma)
 
+    # M over (s1, alpha) and over (s2, beta, gamma); the rows of G.
+    m00, m22 = p.m1, p.m1 * p.L1 ** 2 / 4.0 + p.I1
     m02 = p.L1 * p.m1 * ca / 2.0
-    m13 = -p.X3 * p.m3 * sbg - p.L2 * p.m3 * sb / 2.0
+    m11, m44 = p.m2 + p.m3, p.m3 * p.X3 ** 2 + p.I3
     m14 = -p.X3 * p.m3 * sbg
-    m22 = p.m1 * p.L1 ** 2 / 4.0 + p.I1
+    m13 = m14 - p.L2 * p.m3 * sb / 2.0
     m33 = (p.m3 * p.L2 ** 2 / 4.0 + p.m3 * cg * p.L2 * p.X3
            + p.m3 * p.X3 ** 2 + p.I2 + p.I3)
-    m34 = (p.m3 * p.X3 ** 2
-           + p.L2 * p.m3 * cg * p.X3 / 2.0 + p.I3)
-    m44 = p.m3 * p.X3 ** 2 + p.I3
-    g02, g03 = -p.L1 * sa, -0.5 * p.L2 * sb
-    g12, g13 = p.L1 * ca, -0.5 * p.L2 * cb
-    saddle = np.array([
-        [p.m1, 0.0, m02, 0.0, 0.0, -0.0, -1.0],
-        [0.0, p.m2 + p.m3, 0.0, m13, m14, 1.0, -0.0],
-        [m02, 0.0, m22, 0.0, 0.0, -g02, -g12],
-        [0.0, m13, 0.0, m33, m34, -g03, -g13],
-        [0.0, m14, 0.0, m34, m44, -0.0, -0.0],
-        [0.0, -1.0, g02, g03, 0.0, 0.0, 0.0],
-        [1.0, 0.0, g12, g13, 0.0, 0.0, 0.0],
-    ])
+    m34 = p.m3 * p.X3 ** 2 + p.L2 * p.m3 * cg * p.X3 / 2.0 + p.I3
+    g02, g03 = -p.L1 * sa, -0.5 * p.L2 * sb  # row 0: (0, -1, g02, g03, 0)
+    g12, g13 = p.L1 * ca, -0.5 * p.L2 * cb   # row 1: (1, 0, g12, g13, 0)
 
-    f0 = 0.5 * p.L1 * (ad * ad) * p.m1 * sa
-    f1 = 0.5 * p.m3 * (2.0 * p.X3 * (bd * bd) * cbg
+    # f + B u (its alpha entry is zero) and c = -Gdot v - 2b G v - b^2 g.
+    r0 = 0.5 * p.L1 * (ad * ad) * p.m1 * sa + u0
+    r1 = 0.5 * p.m3 * (2.0 * p.X3 * (bd * bd) * cbg
                        + 2.0 * p.X3 * (gd * gd) * cbg
                        + p.L2 * (bd * bd) * cb
-                       + 4.0 * p.X3 * bd * gd * cbg)
-    f3 = 0.5 * p.L2 * p.X3 * gd * p.m3 * sg * (2.0 * bd + gd)
-    f4 = (-0.5 * p.L2 * p.X3 * p.m3 * sg * (bd * bd)
+                       + 4.0 * p.X3 * bd * gd * cbg) + u1
+    r3 = 0.5 * p.L2 * p.X3 * gd * p.m3 * sg * (2.0 * bd + gd)
+    r4 = (-0.5 * p.L2 * p.X3 * p.m3 * sg * (bd * bd)
           - p.D * gd - p.c * gamma)
-    bu0, bu1, bu2, bu3, bu4 = (_INPUT_MAP @ u).tolist()
+    gain, square = 2.0 * baumgarte, baumgarte * baumgarte
+    c0 = (p.L1 * ca * (ad * ad) + 0.5 * p.L2 * cb * (bd * bd)
+          - gain * (g02 * ad + g03 * bd - v1)
+          - square * (p.L1 * ca - s2 - p.d + 0.5 * p.L2 * cb))
+    c1 = (p.L1 * sa * (ad * ad) - 0.5 * p.L2 * sb * (bd * bd)
+          - gain * (v0 + g12 * ad + g13 * bd)
+          - square * (s1 + p.L1 * sa - 0.5 * p.L2 * sb))
+    if not all(map(math.isfinite, (r0, r1, r3, r4, c0, c1))):
+        raise NonFiniteEvaluation("right-hand side is not finite")
 
-    gd02, gd03 = -p.L1 * ca * ad, -0.5 * p.L2 * cb * bd
-    gd12, gd13 = -p.L1 * sa * ad, 0.5 * p.L2 * sb * bd
-    neg_jac_dot = np.array([[-0.0, -0.0, -gd02, -gd03, -0.0],
-                            [-0.0, -0.0, -gd12, -gd13, -0.0]])
-    gain = 2.0 * baumgarte
-    gain_jac = np.array([[0.0, -gain, gain * g02, gain * g03, 0.0],
-                         [gain, 0.0, gain * g12, gain * g13, 0.0]])
-    jdv0, jdv1 = (neg_jac_dot @ v).tolist()
-    gv0, gv1 = (gain_jac @ v).tolist()
-    square = baumgarte ** 2
-    closure0 = p.L1 * ca - s2 - p.d + 0.5 * p.L2 * cb
-    closure1 = s1 + p.L1 * sa - 0.5 * p.L2 * sb
-    rhs = np.array([f0 + bu0, f1 + bu1, 0.0 + bu2, f3 + bu3, f4 + bu4,
-                    jdv0 - gv0 - square * closure0,
-                    jdv1 - gv1 - square * closure1])
-    return saddle, rhs
+    # Cofactor inverses; the pivots are those of elimination in order.
+    det_a = m00 * m22 - m02 * m02
+    _check_pivots("mass block (s1, alpha)", (m00, m02, m22), m00, det_a)
+    i00, i02, i22 = m22 / det_a, -m02 / det_a, m00 / det_a
+    k11 = m33 * m44 - m34 * m34
+    k13 = m14 * m34 - m13 * m44
+    k14 = m13 * m34 - m33 * m14
+    k44 = m11 * m33 - m13 * m13
+    det_b = m11 * k11 + m13 * k13 + m14 * k14
+    _check_pivots("mass block (s2, beta, gamma)", (m11, m13, m14, m33, m34, m44),
+                  m11, k44, det_b)
+    j11, j13, j14 = k11 / det_b, k13 / det_b, k14 / det_b
+    j33 = (m11 * m44 - m14 * m14) / det_b
+    j34 = (m13 * m14 - m11 * m34) / det_b
+    j44 = k44 / det_b
+
+    # W = M^-1 G^T by columns, and z = M^-1 (f + B u).
+    w00, w02 = i02 * g02, i22 * g02
+    w01, w03, w04 = j13 * g03 - j11, j33 * g03 - j13, j34 * g03 - j14
+    w10, w12 = i00 + i02 * g12, i02 + i22 * g12
+    w11, w13, w14 = j13 * g13, j33 * g13, j34 * g13
+    z0, z2 = i00 * r0, i02 * r0
+    z1 = j11 * r1 + j13 * r3 + j14 * r4
+    z3 = j13 * r1 + j33 * r3 + j34 * r4
+    z4 = j14 * r1 + j34 * r3 + j44 * r4
+
+    # S = G W, then lam = S^-1 (c - G z) and vdot = z + W lam.
+    s00 = g02 * w02 + g03 * w03 - w01
+    s01 = g02 * w12 + g03 * w13 - w11
+    s10 = w00 + g12 * w02 + g13 * w03
+    s11 = w10 + g12 * w12 + g13 * w13
+    det_s = s00 * s11 - s01 * s10
+    _check_pivots("Schur complement", (s00, s01, s10, s11), s00, det_s)
+    e0 = c0 - (g02 * z2 + g03 * z3 - z1)
+    e1 = c1 - (z0 + g12 * z2 + g13 * z3)
+    lam0 = (s11 * e0 - s01 * e1) / det_s
+    lam1 = (s00 * e1 - s10 * e0) / det_s
+    a0 = z0 + w00 * lam0 + w10 * lam1
+    a1 = z1 + w01 * lam0 + w11 * lam1
+    a2 = z2 + w02 * lam0 + w12 * lam1
+    a3 = z3 + w03 * lam0 + w13 * lam1
+    a4 = z4 + w04 * lam0 + w14 * lam1
+
+    residual = max(
+        abs(m00 * a0 + m02 * a2 - lam1 - r0),
+        abs(m11 * a1 + m13 * a3 + m14 * a4 + lam0 - r1),
+        abs(m02 * a0 + m22 * a2 - g02 * lam0 - g12 * lam1),
+        abs(m13 * a1 + m33 * a3 + m34 * a4 - g03 * lam0 - g13 * lam1 - r3),
+        abs(m14 * a1 + m34 * a3 + m44 * a4 - r4),
+        abs(g02 * a2 + g03 * a3 - a1 - c0),
+        abs(a0 + g12 * a2 + g13 * a3 - c1),
+    )
+    scale = max(1.0, abs(r0), abs(r1), abs(r3), abs(r4), abs(c0), abs(c1))
+    if not residual <= SADDLE_RESIDUAL_RTOL * scale:
+        raise SaddleSingular(f"saddle solve residual {residual:.3e}")
+    return np.array([a0, a1, a2, a3, a4]), np.array([lam0, lam1])
+
+
+def _check_pivots(name, entries, *minors):
+    """Raise ``SaddleSingular`` when a pivot of the unpivoted elimination of
+    a block falls below ``PIVOT_RTOL`` times the block's largest entry.
+
+    The pivots are the ratios of consecutive leading principal ``minors``,
+    compared without dividing, so a zero or NaN minor raises too.
+    """
+    bound = PIVOT_RTOL * max(map(abs, entries))
+    previous = 1.0
+    for minor in minors:
+        if not abs(minor) >= bound * abs(previous):
+            raise SaddleSingular(f"{name} has a pivot below {PIVOT_RTOL:g} "
+                                 f"of its largest entry")
+        previous = minor
 
 
 def output(params, q):
@@ -288,7 +353,7 @@ def robot_model(params):
         holonomic_jacobian=lambda q: loop_closure_jacobian(params, q),
         holonomic_jacobian_dot=lambda q, v: loop_closure_jacobian_dot(params, q, v),
         input_map=lambda q: input_map(params, q),
-        index1_saddle=lambda q, v, u, baumgarte: index1_saddle(
+        index1_solve=lambda q, v, u, baumgarte: index1_solve(
             params, q, v, u, baumgarte),
         output=lambda q: output(params, q),
         output_jacobian=lambda q: output_jacobian(params, q),

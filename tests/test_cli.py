@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -32,6 +33,8 @@ def test_validate_registered_model(capsys):
     assert run_cli(["validate", "--model", "robot-reference"]) == 0
     out = capsys.readouterr().out
     assert "passed: True" in out
+    defect = re.search(r"^max index1_solve defect against the LU: (\S+)$", out, re.M)
+    assert defect and float(defect.group(1)) <= 1e-12
 
 
 def test_validate_unknown_model(capsys):

@@ -27,7 +27,7 @@ from servofunnel.funnel import (
 )
 from servofunnel.internal import linearize
 from servofunnel.linalg import kernel_basis
-from servofunnel.model import MbsDims, assemble_saddle
+from servofunnel.model import MbsDims, solve_assembled_saddle
 from servofunnel.robot import (
     RobotParams,
     end_effector,
@@ -107,8 +107,9 @@ def test_accelerations_match_kernel_projection():
 def test_accelerations_reject_rank_deficient_constraints():
     import dataclasses
 
-    # The robot with its first constraint repeated; its saddle is the
-    # assembly of these callables, so the solve sees the repeated row.
+    # The robot with its first constraint repeated, solved by the generic
+    # LU of the saddle assembled from these callables, which sees the
+    # repeated row.
     degenerate = dataclasses.replace(
         MODEL,
         dims=MbsDims(n=5, holonomic=3, inputs=2),
@@ -119,7 +120,7 @@ def test_accelerations_reject_rank_deficient_constraints():
         holonomic_jacobian_dot=lambda q, v: np.vstack(
             [MODEL.holonomic_jacobian_dot(q, v),
              MODEL.holonomic_jacobian_dot(q, v)[:1]]),
-        index1_saddle=lambda q, v, u, baumgarte: assemble_saddle(
+        index1_solve=lambda q, v, u, baumgarte: solve_assembled_saddle(
             degenerate, q, v, u, baumgarte),
     )
     q0, v0 = initial_state(PARAMS)
@@ -298,10 +299,13 @@ def test_time_signals_are_evaluated_once_per_trial_step():
 
 def test_open_loop_replay_keeps_its_fine_step():
     """The replay of the paper inversion measures the inversion, not the
-    integrator.  Its own 1e-3 step ceiling bounds every step of the 2.5 s
-    window, and the deviation is 1.668351855554917e-7 m bit for bit.  The
-    closed loop's 1e-2 ceiling would give 9.6e-6 m: the feedforward has
-    a kink at every node, which costs the integrator its order."""
+    integrator.  At its own tolerances (3e-12/3e-14) it takes 5107 steps
+    over the 2.5 s window, its 1e-3 ceiling bounds every step, and the
+    deviation is 1.0774659497947425e-8 m bit for bit.  Scaling the
+    accelerations by 1 + eps, |eps| <= 1e-14, moves it by at most 0.2 %.
+    At the closed loop's 1e-6/1e-8 the same scaling moved it between
+    1.0e-7 and 3.5e-7 m: the feedforward has a kink at every node, which
+    costs the integrator its order."""
     sol = solve_bvp(MODEL, ReferenceSignal(PARAMS),
                     robot_boundary_preset(PARAMS), BvpOptions(intervals=350))
     t, qs, _ = integrate_open_loop(MODEL, feedforward(sol),
@@ -311,7 +315,7 @@ def test_open_loop_replay_keeps_its_fine_step():
     deviation = np.abs(output(PARAMS, qs) - np.asarray(ref(t)[0])).max()
     # Accumulated times round the 1e-3 steps in the last bit of t ~ 2.
     assert np.diff(t).max() <= OPEN_LOOP_MAX_STEP + 1e-15
-    assert deviation == 1.668351855554917e-07
+    assert deviation == 1.0774659497947425e-08
 
 
 def test_free_motion_dissipates_energy():
