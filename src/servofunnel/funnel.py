@@ -204,9 +204,12 @@ def reference_internal(lin, ref):
 class ControlDiagnostics:
     """Error chain, gains and funnel margins of one feedback evaluation.
 
-    Margins are the gain denominators ``1 - phi^2 e^2`` (and the bundled
-    ``1 - phi^2 ||ebar||^2``); ``control`` returns diagnostics only when
-    all four lie in ``(0, 1]``.
+    Margins are the gain denominators ``1 - phi^2 e^2`` of each chain
+    (and the bundled ``1 - phi^2 ||ebar||^2``); ``control`` returns
+    diagnostics only when all four lie in ``(0, 1]``.  They are not the
+    report's ``Metrics.min_funnel_margin``, which is ``1 - ||ebar|| /
+    boundary``: near the boundary that one is about half of
+    ``margin_ebar`` (0.035 against 0.069 at the same point).
     """
 
     e10: float
@@ -239,15 +242,15 @@ def control_signals(t, design, ref):
 
     Returns ``(y_ref, ydot_ref, phi0, phi0_dot, bound1, bound2)``: the
     output reference and its rate, ``phi0`` and its rate, and the error
-    bounds ``1 / phi1`` and ``1 / phi2``.  The four funnel levels are
-    Python floats at a single time and lists of them for a batch, so
-    ``control`` computes its scalar chain on floats.  Each entry of a
+    bounds ``1 / phi1`` and ``1 / phi2``.  All six are Python floats (the
+    two references as pairs) at a single time and lists of them for a
+    batch, so ``control`` computes its chain on floats.  Each entry of a
     batch has the bits of the same call at its single time, so a row of
     a batch evaluated ahead of time can stand in for the call.
     """
     y_ref, ydot_ref = ref(t)
     phi0, phi0_dot = design.phi0.derivatives(t)
-    return (y_ref, ydot_ref, phi0.tolist(), phi0_dot.tolist(),
+    return (y_ref.tolist(), ydot_ref.tolist(), phi0.tolist(), phi0_dot.tolist(),
             design.phi1.boundary(t).tolist(), design.phi2.boundary(t).tolist())
 
 
@@ -263,57 +266,62 @@ def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
     with the time ``t``.  ``signals`` is ``control_signals`` at ``t``,
     or its row of a batch; it is evaluated here when not given.
     ``strict`` is accepted and ignored: every evaluation is strict.
-    The output ``y = robot.output``, its rate ``H v``, ``psi`` and the
-    scalar chain run on Python floats, which round as numpy's scalars
-    do; the products with ``p2``, ``t^-1``, ``ptilde`` and ``k2`` stay
-    numpy's.
+
+    The whole chain runs on Python floats: the output ``y =
+    robot.output``, its rate ``H v``, ``psi``, and the products with
+    ``ptilde`` and ``k2`` as two-term sums from ``lin.float_entries``;
+    squares are products, so an error too large to square gives an
+    infinite square and a negative margin rather than ``OverflowError``.
+    Only ``u_fb`` is a numpy array.
     """
     params = ref.params
     q = np.asarray(q, dtype=float).tolist()
     v = np.asarray(v, dtype=float).tolist()
     _, s2, _, beta, gamma = q
     delta = params.delta
-    y = np.array([s2, beta + delta * gamma])
-    ydot = np.array([v[1], v[3] + delta * v[4]])
+    y1, y2 = s2, beta + delta * gamma
+    yd1, yd2 = v[1], v[3] + delta * v[4]
     if signals is None:
         signals = control_signals(float(t), design, ref)
-    y_ref, ydot_ref, phi0, phi0_dot, bound1, bound2 = signals
+    (yr1, yr2), (ydr1, ydr2), phi0, phi0_dot, bound1, bound2 = signals
+    (pt1, pt2), (k21, k22), _, _ = lin.float_entries
 
-    psi_val = float(psi(q, v, lin, params, y))
-    dpsi = psi_val - state.eta2_ref
-    dy = y - y_ref
-    dyd = ydot - ydot_ref
+    dpsi = psi(q, v, lin, params, (y1, y2)) - state.eta2_ref
+    dy1, dy2 = y1 - yr1, y2 - yr2
+    dyd1, dyd2 = yd1 - ydr1, yd2 - ydr2
 
-    ptilde_dy = float(lin.ptilde @ dy)
+    qtilde = lin.qtilde
+    ptilde_dy = pt1 * dy1 + pt2 * dy2
     e10 = lin.k1 * dpsi
-    e10_d1 = lin.k1 * (lin.qtilde * dpsi + ptilde_dy)
-    e10_d2 = lin.k1 * (lin.qtilde ** 2 * dpsi
-                       + lin.qtilde * ptilde_dy
-                       + float(lin.ptilde @ dyd))
+    e10_d1 = lin.k1 * (qtilde * dpsi + ptilde_dy)
+    e10_d2 = lin.k1 * (qtilde * qtilde * dpsi
+                       + qtilde * ptilde_dy
+                       + (pt1 * dyd1 + pt2 * dyd2))
 
     phi1 = 1.0 / bound1
     phi2 = 1.0 / bound2
+    phi0_sq = phi0 * phi0
+    e10_sq = e10 * e10
 
-    margin_e10 = 1.0 - phi0 ** 2 * e10 ** 2
+    margin_e10 = 1.0 - phi0_sq * e10_sq
     k10 = _gain(design.kappa0, margin_e10, "e10", t)
-    k10_d1 = (2.0 * k10
-              * (phi0 * phi0_dot * e10 ** 2 + phi0 ** 2 * e10 * e10_d1))
+    k10_d1 = 2.0 * k10 * (phi0 * phi0_dot * e10_sq + phi0_sq * e10 * e10_d1)
     e11 = e10_d1 + k10 * e10
     e11_d1 = e10_d2 + k10 * e10_d1 + k10_d1 * e10
-    margin_e11 = 1.0 - phi1 ** 2 * e11 ** 2
+    margin_e11 = 1.0 - (phi1 * phi1) * (e11 * e11)
     k11 = _gain(design.kappa1, margin_e11, "e11", t)
     e12 = e11_d1 + k11 * e11
 
-    e20 = float(lin.k2 @ dy)
-    margin_e20 = 1.0 - phi0 ** 2 * e20 ** 2
+    e20 = k21 * dy1 + k22 * dy2
+    margin_e20 = 1.0 - phi0_sq * (e20 * e20)
     k20 = _gain(design.kappa0, margin_e20, "e20", t)
-    e21 = float(lin.k2 @ dyd) + k20 * e20
+    e21 = (k21 * dyd1 + k22 * dyd2) + k20 * e20
 
-    ebar = np.array([e12, e21])
-    ebar_norm = float(np.sqrt(ebar @ ebar))
-    margin_ebar = 1.0 - phi2 ** 2 * ebar_norm ** 2
+    ebar_norm = math.sqrt(e12 * e12 + e21 * e21)
+    margin_ebar = 1.0 - (phi2 * phi2) * (ebar_norm * ebar_norm)
     kbar = _gain(design.kappa2, margin_ebar, "ebar", t)
-    u_fb = -lin.rho * kbar * ebar
+    gain = -lin.rho * kbar
+    u_fb = np.array([gain * e12, gain * e21])
 
     diag = ControlDiagnostics(
         e10=e10, e11=e11, e12=e12, e20=e20, e21=e21,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,13 @@ class LinearizedInternalDynamics:
     k1: float
     k2: np.ndarray
     rho: float
+
+    @cached_property
+    def float_entries(self):
+        """``(ptilde, k2, p2, tinv[1])`` as lists of Python floats, read
+        once for the float chains of ``psi`` and ``funnel.control``."""
+        return tuple(np.asarray(a, dtype=float).tolist()
+                     for a in (self.ptilde, self.k2, self.p2, self.tinv[1]))
 
 
 def _assemble(model, q):
@@ -251,15 +259,17 @@ def psi(q, v, lin, params, y):
 
     Evaluates ``[0, 1] t^-1 (p2 y - (eta1, eta2))`` from the coordinates
     ``q`` and rates ``v`` of one state (1-d arrays or sequences of
-    floats) and its output ``y = robot.output(params, q)``, a ``(2,)``
-    array; linear in ``v`` for fixed ``q``.  ``eta2``, the product of
-    ``phi_tilde_row`` with ``v``, is summed left to right over the row's
-    nonzero entries on Python floats, which gives the bits of
-    ``internal_coordinates``; the products with ``p2`` and ``t^-1`` stay
-    numpy's.
+    floats) and its output ``y = robot.output(params, q)``, a pair;
+    linear in ``v`` for fixed ``q``.  Runs on Python floats: ``eta2``,
+    the product of ``phi_tilde_row`` with ``v``, is summed left to right
+    over the row's nonzero entries, which gives the bits of
+    ``internal_coordinates``, and the products with ``p2`` and
+    ``tinv[1]`` are two-term sums over ``lin.float_entries``.
     """
     _, _, _, beta, gamma = q
     _, v1, _, v3, v4 = v
+    y1, y2 = y
+    _, _, ((p11, p12), (p21, p22)), (ti1, ti2) = lin.float_entries
     r1, r3, r4 = _phi_tilde_entries(params, math.sin(beta + gamma), math.cos(gamma))
     eta2 = r1 * v1 + r3 * v3 + r4 * v4
-    return np.vecdot(y @ lin.p2.T - (gamma, eta2), lin.tinv[1])
+    return ti1 * (p11 * y1 + p12 * y2 - gamma) + ti2 * (p21 * y1 + p22 * y2 - eta2)

@@ -263,7 +263,14 @@ class TimeSeries:
 
 @dataclass
 class Metrics:
-    """Scalar summary of one run, all entries non-negative."""
+    """Scalar summary of one run, all entries non-negative.
+
+    ``min_funnel_margin`` is the smallest ``1 - ||ebar|| / boundary`` over
+    the accepted points, for the bundled error ``ebar`` only.  It is not
+    one of ``funnel.ControlDiagnostics``' ``margin_*``, the gain
+    denominators ``1 - phi^2 e^2`` of each chain: near the boundary it is
+    about half of ``margin_ebar`` (0.035 against 0.069 at the same point).
+    """
 
     cumulative_output_error: np.ndarray
     cumulative_ee_error: np.ndarray
