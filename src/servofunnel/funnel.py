@@ -226,7 +226,7 @@ class ControlDiagnostics:
     margin_e11: float
     margin_e20: float
     margin_ebar: float
-    u_fb: np.ndarray
+    u_fb: tuple
 
 
 def _gain(kappa, margin, label, t):
@@ -272,11 +272,13 @@ def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
     ``ptilde`` and ``k2`` as two-term sums from ``lin.float_entries``;
     squares are products, so an error too large to square gives an
     infinite square and a negative margin rather than ``OverflowError``.
-    Only ``u_fb`` is a numpy array.
+    ``q`` and ``v`` are sequences of floats, numpy arrays included; each
+    entry is converted with ``float``, so no numpy scalar enters the
+    chain.  ``u_fb`` is a pair of Python floats.
     """
     params = ref.params
-    q = np.asarray(q, dtype=float).tolist()
-    v = np.asarray(v, dtype=float).tolist()
+    q = list(map(float, q))
+    v = list(map(float, v))
     _, s2, _, beta, gamma = q
     delta = params.delta
     y1, y2 = s2, beta + delta * gamma
@@ -321,7 +323,7 @@ def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
     margin_ebar = 1.0 - (phi2 * phi2) * (ebar_norm * ebar_norm)
     kbar = _gain(design.kappa2, margin_ebar, "ebar", t)
     gain = -lin.rho * kbar
-    u_fb = np.array([gain * e12, gain * e21])
+    u_fb = (gain * e12, gain * e21)
 
     diag = ControlDiagnostics(
         e10=e10, e11=e11, e12=e12, e20=e20, e21=e21,

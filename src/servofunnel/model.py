@@ -11,9 +11,10 @@ as callables.  All callables but one accept arrays with leading batch
 dimensions (coordinates along the last axis) and broadcast; validators
 only use the single-configuration case.  The exception is the one the
 closed loop evaluates at every integrator stage:
-``index1_solve(q, v, u, baumgarte)`` takes one state, the ``(n,)``
-arrays ``q`` and ``v`` and the ``(m,)`` input ``u``, and returns the
-solution ``(vdot, lam)`` of the index-1 saddle system
+``index1_solve(q, v, u, baumgarte)`` takes one state, ``q`` and ``v``
+of length ``n`` and the input ``u`` of length ``m``, as sequences of
+floats (numpy arrays included), and returns the solution ``(vdot,
+lam)`` of the index-1 saddle system as two lists of Python floats,
 
     [[M, -G^T], [G, 0]] (vdot, lam) = (f + B u, c),
     c = -Gdot v - 2 baumgarte G v - baumgarte^2 g,
@@ -76,8 +77,9 @@ class MbsModel:
     ``mass_matrix(q)`` must be symmetric positive definite on the operating
     set; ``holonomic_jacobian`` must be the Jacobian of ``holonomic`` and
     ``output_jacobian`` the Jacobian of ``output``.  ``index1_solve(q,
-    v, u, baumgarte)`` returns one state's ``(vdot, lam)``, the solution
-    of the saddle system ``assemble_saddle`` builds from the other
+    v, u, baumgarte)`` takes one state as sequences of floats and
+    returns its ``(vdot, lam)`` as two lists of floats, the solution of
+    the saddle system ``assemble_saddle`` builds from the other
     callables; ``validate_model`` checks that it is.
     """
 
@@ -88,7 +90,7 @@ class MbsModel:
     holonomic_jacobian: Callable   # q -> (l, n)
     holonomic_jacobian_dot: Callable  # q, v -> (l, n)
     input_map: Callable            # q -> (n, m)
-    index1_solve: Callable         # q, v, u, baumgarte -> (vdot, lam)
+    index1_solve: Callable         # q, v, u, baumgarte -> (vdot, lam) lists
     output: Callable               # q -> (m,)
     output_jacobian: Callable      # q -> (m, n)
     name: str = "unnamed"
@@ -394,7 +396,8 @@ def two_mass_model(m1=1.0, m2=1.5, stiffness=40.0, damping=1.2,
     no_rows = empty_rows(n)
 
     def index1_solve(q, v, u, baumgarte):
-        return solve_assembled_saddle(model, q, v, u, baumgarte)
+        vdot, lam = solve_assembled_saddle(model, q, v, u, baumgarte)
+        return vdot.tolist(), lam.tolist()
 
     model = MbsModel(
         dims=MbsDims(n=n, holonomic=0, inputs=m_inputs),

@@ -197,6 +197,11 @@ def index1_solve(params, q, v, u, baumgarte):
     """Accelerations and multipliers of the index-1 system of ``model.py``
     at one state, by block elimination on Python floats.
 
+    ``q``, ``v`` and ``u`` are sequences of floats, numpy arrays
+    included; each entry is converted with ``float``, so no numpy scalar
+    enters the arithmetic.  Returns ``(vdot, lam)`` as two lists of
+    Python floats.
+
     ``M`` is block-diagonal over ``(s1, alpha)`` and ``(s2, beta,
     gamma)``, and ``G`` has two rows, so the saddle reduces to its 2x2
     Schur complement (Benzi, Golub & Liesen, Acta Numerica 14, 2005,
@@ -211,9 +216,9 @@ def index1_solve(params, q, v, u, baumgarte):
     seven saddle rows exceeds ``SADDLE_RESIDUAL_RTOL * max(1, |rhs|)``.
     """
     p = params
-    s1, s2, alpha, beta, gamma = q.tolist()
-    v0, v1, ad, bd, gd = v.tolist()
-    u0, u1 = u.tolist()
+    s1, s2, alpha, beta, gamma = map(float, q)
+    v0, v1, ad, bd, gd = map(float, v)
+    u0, u1 = map(float, u)
     if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(gamma)):
         raise NonFiniteEvaluation("state is not finite")
     sa, ca = math.sin(alpha), math.cos(alpha)
@@ -307,7 +312,7 @@ def index1_solve(params, q, v, u, baumgarte):
     scale = max(1.0, abs(r0), abs(r1), abs(r3), abs(r4), abs(c0), abs(c1))
     if not residual <= SADDLE_RESIDUAL_RTOL * scale:
         raise SaddleSingular(f"saddle solve residual {residual:.3e}")
-    return np.array([a0, a1, a2, a3, a4]), np.array([lam0, lam1])
+    return [a0, a1, a2, a3, a4], [lam0, lam1]
 
 
 def _check_pivots(name, entries, *minors):

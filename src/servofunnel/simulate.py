@@ -12,6 +12,7 @@ emission serve the command line.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -66,13 +67,13 @@ def index1_accelerations(model, q, v, u):
     Solves the saddle system pairing the mass matrix with the constraint
     Jacobian; the constraint row carries Baumgarte feedback so position
     and velocity drift decay instead of accumulating.  One
-    ``model.index1_solve`` call with ``BAUMGARTE`` returns ``(vdot,
-    lam)``; it raises ``SaddleSingular`` when the system is numerically
-    singular and ``NonFiniteEvaluation`` on a non-finite state or input.
+    ``model.index1_solve`` call with ``BAUMGARTE`` takes ``q``, ``v``
+    and ``u`` as sequences of floats and returns ``(vdot, lam)`` as two
+    lists of Python floats; it raises ``SaddleSingular`` when the system
+    is numerically singular and ``NonFiniteEvaluation`` on a non-finite
+    state or input.
     """
-    return model.index1_solve(
-        np.asarray(q, dtype=float), np.asarray(v, dtype=float),
-        np.asarray(u, dtype=float), BAUMGARTE)
+    return model.index1_solve(q, v, u, BAUMGARTE)
 
 
 @dataclass
@@ -351,16 +352,35 @@ def _pairs(weights):
     """The nonzero ``(j, a)`` of ``weights``, ``a`` a Python float.
 
     ``sum`` over ``a * k[j]`` adds the terms left to right after its
-    leading ``0 +``, which turns a sum of zeros into ``+0``; the stage
-    sums keep that, so they have the bits of a numpy loop over the
-    nonzero weights.
+    leading ``0 +``, which turns a sum of zeros into ``+0``; the unrolled
+    stage sums (``_stage_sum``) keep that, so they have the bits of a
+    numpy loop over the nonzero weights.
     """
     return tuple((j, float(a)) for j, a in enumerate(weights) if a)
+
+
+def _stage_sum(pairs):
+    """``x + h * sum([a * k[j] for j, a in pairs])`` on lists of floats.
+
+    The sum is unrolled into one expression per entry, ``x_ + h * (0 +
+    a0 * k0_ + a1 * k1_ ...)``, with the weights as literals (``repr``
+    gives each float back exactly).  The operations and their order are
+    those of the numpy form, and so are the bits.
+    """
+    ks = ", ".join(f"k{j}_" for j, _ in pairs)
+    terms = "".join(f" + {a!r} * k{j}_" for j, a in pairs)
+    columns = ", ".join(f"k[{j}]" for j, _ in pairs)
+    return eval(f"lambda x, h, k: [x_ + h * (0{terms}) "
+                f"for x_, {ks} in zip(x, {columns})]")
 
 
 _STAGE_PAIRS = tuple(_pairs(row) for row in _DP_A)
 _B4_PAIRS = _pairs(_DP_B4)
 _MID_PAIRS = _pairs(_DP_MID)
+_STAGE_SUMS = (None,) + tuple(_stage_sum(pairs) for pairs in _STAGE_PAIRS[1:])
+_B4_SUM = _stage_sum(_B4_PAIRS)
+_MID_SUM = _stage_sum(_MID_PAIRS)
+_STAGE_C = tuple(map(float, _DP_C))
 
 # Fractions of the step at which one trial step's time-only signals are
 # evaluated: the new stages 1 to 5, then the midpoint.  Stage 6 shares
@@ -368,6 +388,47 @@ _MID_PAIRS = _pairs(_DP_MID)
 _ROW_C = np.append(_DP_C[1:6], 0.5)
 _STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
 _MID_ROW = 5
+
+
+def _pairwise_sum(values):
+    """``np.sum`` of a list of floats, in numpy's pairwise order.
+
+    Below 8 entries numpy adds left to right.  Up to 128 it runs 8
+    accumulators over blocks of 8, joins them as ``((r0 + r1) + (r2 +
+    r3)) + ((r4 + r5) + (r6 + r7))`` and adds the tail left to right;
+    above that it splits at a multiple of 8 and recurses.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    stop = n - n % 8
+    r = values[:8]
+    for i in range(8, stop, 8):
+        r = [a + b for a, b in zip(r, values[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[stop:]:
+        total += value
+    return total
+
+
+def _error_norm(x, x4, x5, rel_tol, abs_tol):
+    """RMS of the scaled error ``(x5 - x4) / (abs_tol + rel_tol *
+    max(|x|, |x5|))`` on lists of floats.
+
+    It has the bits of ``np.sqrt(np.mean(((x5 - x4) / scale) ** 2))`` on
+    arrays: squares are products, as numpy's ``** 2`` is, and the mean
+    sums in numpy's pairwise order.  A NaN entry gives a NaN norm.
+    """
+    squares = [r * r for r in (
+        (b - c) / (abs_tol + rel_tol * max(abs(a), abs(b)))
+        for a, c, b in zip(x, x4, x5))]
+    return math.sqrt(_pairwise_sum(squares) / len(squares))
 
 
 def _no_signals(times):
@@ -388,11 +449,15 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
           check=None, signals=_no_signals):
     """Adaptive embedded 4(5) integration with PI step-size control.
 
-    ``rhs(t, x, *row)`` returns ``(xdot, aux)``; ``on_accept(t, x, aux)``
-    runs at the start and after every accepted step with the ``aux`` of
-    the last (FSAL) stage, which sits at the accepted point.
-    ``check(t, x, *row)``, when given, runs on the dense output at the
-    midpoint of every accepted step, before that step's ``on_accept``.
+    The state is a list of Python floats.  ``rhs(t, x, *row)`` returns
+    ``(xdot, aux)``, ``xdot`` a sequence of floats as long as ``x``;
+    ``on_accept(t, x, aux)`` runs at the start and after every accepted
+    step with the ``aux`` of the last (FSAL) stage, which sits at the
+    accepted point.  ``check(t, x, *row)``, when given, runs on the
+    dense output at the midpoint of every accepted step, before that
+    step's ``on_accept``.  The stage sums, the fourth-order solution,
+    the midpoint and the error norm have the bits of the same formulas
+    on numpy arrays (``_stage_sum``, ``_error_norm``).
 
     ``row`` carries the inputs that depend on time alone.
     ``signals(times)`` evaluates them for an array of times at once and
@@ -406,10 +471,11 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
     Library errors from any callable get the time it was called at, so
     an error raised by a trial stage ends the run even when error
     control would have rejected that step.  Raises ``StepSizeUnderflow``
-    when the controller would step below ``MIN_STEP``.
+    when the controller would step below ``MIN_STEP``.  Returns the end
+    time and the state there.
     """
     t = float(t_start)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).tolist()
     h = min(max_step, (t_end - t_start) / 1000.0)
     err_prev = 1.0
     k = [None] * 7
@@ -426,18 +492,15 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
                                     time=t)
         rows = signals(t + _ROW_C * h)
         for i in range(1, 7):
-            xi = x + h * sum([a * k[j] for j, a in _STAGE_PAIRS[i]])
-            k[i], stage_aux = _timed(rhs, t + _DP_C[i] * h, xi,
+            xi = _STAGE_SUMS[i](x, h, k)
+            k[i], stage_aux = _timed(rhs, t + _STAGE_C[i] * h, xi,
                                      *rows[_STAGE_ROW[i]])
         x5 = xi  # the last stage sits at the fifth-order solution
-        x4 = x + h * sum([b * k[j] for j, b in _B4_PAIRS])
-        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x5))
-        err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
+        err = _error_norm(x, _B4_SUM(x, h, k), x5, rel_tol, abs_tol)
         err = max(err, 1e-10)
         if err <= 1.0:
             if check is not None:
-                x_mid = x + h * sum([b * k[j] for j, b in _MID_PAIRS])
-                _timed(check, t + 0.5 * h, x_mid, *rows[_MID_ROW])
+                _timed(check, t + 0.5 * h, _MID_SUM(x, h, k), *rows[_MID_ROW])
             t = t + h
             x = x5
             _timed(on_accept, t, x, stage_aux)
@@ -498,7 +561,7 @@ def integrate_closed_loop(scn):
     needs_ff = scn.mode in ("C1", "C3")
     needs_fb = scn.mode in ("C1", "C2")
 
-    u_zero = np.zeros(plant.dims.inputs)
+    u_zero = [0.0] * plant.dims.inputs
     if needs_ff:
         u_ff_fn = bvp_mod.feedforward(_cached_solution(scn))
 
@@ -512,7 +575,7 @@ def integrate_closed_loop(scn):
         """Per time, the ``(u_ff, y_ref, boundary, fb)`` that ``rhs``
         takes after ``(t, x)``; ``fb`` is the feedback's ``(eta_ref,
         control_signals)``, or None when no feedback runs."""
-        u_ff = u_ff_fn(times) if needs_ff else itertools.repeat(u_zero)
+        u_ff = u_ff_fn(times).tolist() if needs_ff else itertools.repeat(u_zero)
         if needs_fb:
             fb_signals = funnel_mod.control_signals(times, design, ref)
             y_ref, boundary = fb_signals[0], fb_signals[-1]
@@ -531,10 +594,10 @@ def integrate_closed_loop(scn):
     def rhs(t, x, u_ff, y_ref, boundary, fb):
         q, v = x[:5], x[5:]
         u_fb, diag = (u_zero, None) if fb is None else feedback(t, q, v, fb)
-        u = u_ff + u_fb
+        (ff1, ff2), (fb1, fb2) = u_ff, u_fb
+        u = [ff1 + fb1, ff2 + fb2]
         vdot, lam = index1_accelerations(plant, q, v, u)
-        return (np.concatenate([v, vdot]),
-                (u_ff, y_ref, boundary, u_fb, u, lam, diag))
+        return v + vdot, (u_ff, y_ref, boundary, u_fb, u, lam, diag)
 
     rows = []
 
@@ -543,7 +606,7 @@ def integrate_closed_loop(scn):
         u_ff, y_ref, boundary, u_fb, u, lam, diag = aux
         y = np.asarray(plant.output(q), dtype=float)
         rows.append((  # in the field order of TimeSeries
-            t, q.copy(), v.copy(), y, y_ref, u_ff, u_fb, u, lam,
+            t, q, v, y, y_ref, u_ff, u_fb, u, lam,
             0.0 if diag is None else diag.ebar_norm,
             float(boundary),
             float(np.abs(np.asarray(plant.holonomic(q))).max()),
@@ -574,17 +637,16 @@ def integrate_open_loop(model, u_fn, x0, t_span, rel_tol=OPEN_LOOP_REL_TOL,
     n = model.dims.n
 
     def rhs(t, x):
-        vdot, _ = index1_accelerations(model, x[:n], x[n:],
-                                       np.asarray(u_fn(t), dtype=float))
-        return np.concatenate([x[n:], vdot]), None
+        v = x[n:]
+        vdot, _ = index1_accelerations(model, x[:n], v, u_fn(t))
+        return v + vdot, None
 
     rows = []
 
     def on_accept(t, x, _):
-        rows.append((t, x[:n].copy(), x[n:].copy()))
+        rows.append((t, x[:n], x[n:]))
 
-    _rk45(rhs, t_span[0], t_span[1], np.asarray(x0, dtype=float),
-          rel_tol, abs_tol, max_step, on_accept)
+    _rk45(rhs, t_span[0], t_span[1], x0, rel_tol, abs_tol, max_step, on_accept)
     return tuple(np.array(column) for column in zip(*rows))
 
 

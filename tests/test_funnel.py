@@ -310,7 +310,7 @@ def test_control_feedback_direction_flips_with_rho():
     state = ControllerState(eta2_ref=start, eta2_ref0=start)
     u_pos, _ = control(0.0, q0, v0, state, lin_pos, design, ref)
     u_neg, _ = control(0.0, q0, v0, state, lin_neg, design, ref)
-    assert np.array_equal(u_pos, -u_neg)
+    assert np.array_equal(u_pos, -np.asarray(u_neg))
 
 
 @pytest.mark.parametrize("mode", ["C1", "C2"])

@@ -98,7 +98,7 @@ def test_index1_solve_agrees_with_the_lu_of_the_assembled_saddle(params):
     vs = rng.normal(size=qs.shape) * 10.0 ** rng.integers(-3, 2, size=(len(qs), 1))
     us = rng.normal(scale=50.0, size=(len(qs), 2))
     for k, (q, v, u) in enumerate(zip(qs, vs, us)):
-        got = index1_solve(params, q, v, u, BAUMGARTE)
+        got = [np.asarray(part) for part in index1_solve(params, q, v, u, BAUMGARTE)]
         want = solve_assembled_saddle(model, q, v, u, BAUMGARTE)
         for part, (x, y) in enumerate(zip(got, want)):
             assert x.shape == y.shape, (k, part)

@@ -1,5 +1,6 @@
 """Tests for the reduced dynamics, the integrator and scenario handling."""
 
+import math
 import pathlib
 import re
 
@@ -43,9 +44,16 @@ from servofunnel.simulate import (
     Metrics,
     Scenario,
     TimeSeries,
+    _B4_PAIRS,
+    _B4_SUM,
     _DP_C,
     _FUNNEL_FIELDS,
+    _MID_PAIRS,
+    _MID_SUM,
     _SCALAR_KEYS,
+    _STAGE_PAIRS,
+    _STAGE_SUMS,
+    _error_norm,
     _rk45,
     compare,
     compute_metrics,
@@ -141,6 +149,51 @@ def test_closed_loop_reads_only_the_fused_saddle_terms(monkeypatch):
     assert ts.t[-1] == pytest.approx(0.05)
 
 
+def random_entries(rng, shape):
+    """Entries of both signs from 1e-8 to 1e8 in magnitude, with zeros
+    and negative zeros mixed in."""
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    values[rng.random(shape) < 0.1] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 10, 16, 17, 300])
+def test_error_norm_has_the_bits_of_the_numpy_mean(n):
+    # The float norm sums in numpy's pairwise order, which changes at 8
+    # entries and again above 128; a left-to-right sum misses on about a
+    # third of 10-vectors.
+    rng = np.random.default_rng(n)
+    for _ in range(2000 if n < 128 else 200):
+        x, x4, x5 = random_entries(rng, (3, n))
+        same = rng.random(n) < 0.2
+        x5[same] = x4[same]
+        rel_tol, abs_tol = 10.0 ** rng.uniform(-12, -4), 10.0 ** rng.uniform(-14, -6)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(x5))
+        want = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
+        got = _error_norm(x.tolist(), x4.tolist(), x5.tolist(), rel_tol, abs_tol)
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
+
+def test_stage_sums_have_the_bits_of_the_numpy_form():
+    # Each unrolled sum against x + h * sum([a * k[j] ...]) on arrays, for
+    # every tableau row, the fourth-order solution and the midpoint.  The
+    # leading 0 of sum() turns a sum of zeros into +0, in both forms.
+    rng = np.random.default_rng(5)
+    combos = [(pairs, fn) for pairs, fn in zip(_STAGE_PAIRS[1:], _STAGE_SUMS[1:])]
+    combos += [(_B4_PAIRS, _B4_SUM), (_MID_PAIRS, _MID_SUM)]
+    for _ in range(500):
+        x = random_entries(rng, 10)
+        k = list(random_entries(rng, (7, 10)))
+        k[rng.integers(7)][:] = -0.0
+        h = 10.0 ** rng.uniform(-12, -1)
+        for pairs, fn in combos:
+            want = x + h * sum([a * k[j] for j, a in pairs])
+            got = fn(x.tolist(), h, [row.tolist() for row in k])
+            assert [v.hex() for v in got] == [v.hex() for v in want.tolist()]
+
+
 def test_adaptive_steps_hit_requested_accuracy():
     accepted = []
 
@@ -149,8 +202,8 @@ def test_adaptive_steps_hit_requested_accuracy():
         assert aux[0] == t and np.array_equal(aux[1], x)
         accepted.append(t)
 
-    t_end, x_end = _rk45(lambda t, x: (-x, (t, x.copy())), 0.0, 1.0,
-                         np.array([1.0]), 1e-10, 1e-12, 0.5, on_accept)
+    t_end, x_end = _rk45(lambda t, x: ([-x[0]], (t, list(x))), 0.0, 1.0,
+                         [1.0], 1e-10, 1e-12, 0.5, on_accept)
     assert t_end == 1.0
     assert abs(x_end[0] - np.exp(-1.0)) < 1e-9
     assert accepted[0] == 0.0 and accepted[-1] == 1.0
@@ -159,7 +212,7 @@ def test_adaptive_steps_hit_requested_accuracy():
 
 def test_adaptive_steps_underflow_on_stiff_decay():
     with pytest.raises(StepSizeUnderflow) as caught:
-        _rk45(lambda t, x: (-1e20 * x, None), 0.0, 1.0, np.array([1.0]),
+        _rk45(lambda t, x: ([-1e20 * x[0]], None), 0.0, 1.0, [1.0],
               1e-10, 1e-12, 0.1, lambda t, x, aux: None)
     assert caught.value.time == 0.0
     assert f"below the minimum {MIN_STEP:g}" in str(caught.value)
@@ -171,14 +224,36 @@ def test_integrator_errors_carry_the_stage_time():
     def rhs(t, x):
         if t > 0.3:
             raise NonFiniteEvaluation("right-hand side is not finite")
-        return -x, None
+        return [-x[0]], None
 
     with pytest.raises(NonFiniteEvaluation) as caught:
-        _rk45(rhs, 0.0, 1.0, np.array([1.0]), 1e-8, 1e-10, 0.01,
+        _rk45(rhs, 0.0, 1.0, [1.0], 1e-8, 1e-10, 0.01,
               lambda t, x, aux: accepted.append(t))
     assert accepted[-1] <= 0.3 < caught.value.time <= accepted[-1] + 0.01
     assert str(caught.value) == (f"right-hand side is not finite "
                                  f"at t = {caught.value.time:.6f}")
+
+
+def test_a_nan_right_hand_side_is_rejected_until_the_step_underflows():
+    """A right-hand side that is NaN after t = 0.5 makes every step that
+    reaches past 0.5 fail error control: the error norm is NaN, so the
+    step is rejected and shrunk.  The accepted points close in on 0.5
+    until the step falls below ``MIN_STEP``, and ``StepSizeUnderflow``
+    carries the last accepted time.  No NaN state is ever accepted."""
+    accepted = []
+
+    def rhs(t, x):
+        return np.array([math.nan if t > 0.5 else -x[0]]), None
+
+    def on_accept(t, x, aux):
+        assert math.isfinite(x[0])
+        accepted.append(t)
+
+    with pytest.raises(StepSizeUnderflow) as caught:
+        _rk45(rhs, 0.0, 1.0, [1.0], 1e-8, 1e-10, 0.01, on_accept)
+    assert caught.value.time == accepted[-1]
+    assert 0.5 - 1e-9 < caught.value.time <= 0.5
+    assert f"below the minimum {MIN_STEP:g}" in str(caught.value)
 
 
 def test_midpoint_check_catches_an_exit_between_stages():
