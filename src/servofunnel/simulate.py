@@ -380,7 +380,6 @@ _MID_PAIRS = _pairs(_DP_MID)
 _STAGE_SUMS = (None,) + tuple(_stage_sum(pairs) for pairs in _STAGE_PAIRS[1:])
 _B4_SUM = _stage_sum(_B4_PAIRS)
 _MID_SUM = _stage_sum(_MID_PAIRS)
-_STAGE_C = tuple(map(float, _DP_C))
 
 # Fractions of the step at which one trial step's time-only signals are
 # evaluated: the new stages 1 to 5, then the midpoint.  Stage 6 shares
@@ -493,7 +492,7 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
         rows = signals(t + _ROW_C * h)
         for i in range(1, 7):
             xi = _STAGE_SUMS[i](x, h, k)
-            k[i], stage_aux = _timed(rhs, t + _STAGE_C[i] * h, xi,
+            k[i], stage_aux = _timed(rhs, t + _DP_C[i] * h, xi,
                                      *rows[_STAGE_ROW[i]])
         x5 = xi  # the last stage sits at the fifth-order solution
         err = _error_norm(x, _B4_SUM(x, h, k), x5, rel_tol, abs_tol)
@@ -561,7 +560,7 @@ def integrate_closed_loop(scn):
     needs_ff = scn.mode in ("C1", "C3")
     needs_fb = scn.mode in ("C1", "C2")
 
-    u_zero = [0.0] * plant.dims.inputs
+    u_zero = [0.0, 0.0]
     if needs_ff:
         u_ff_fn = bvp_mod.feedforward(_cached_solution(scn))
 
