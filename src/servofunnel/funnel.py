@@ -15,11 +15,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import robot as robot_mod
-from .errors import FunnelViolation
+from .errors import FunnelViolation, OutOfReach
 from .internal import psi
 
 #: Spacing of the table behind the bounded internal reference, in seconds.
 REFERENCE_GRID_STEP = 1e-3
+
+
+def _times(t):
+    """One time as a Python float, or an array of times.
+
+    Every time-only callable here picks its path by this: a float
+    (``np.float64`` included) takes straight-line float arithmetic, as the
+    closed loop evaluates one stage at a time, and anything else is
+    converted to an array.  The two paths do the same operations in the
+    same order, so a float's result has the bits of its entry in a batch.
+    """
+    return float(t) if isinstance(t, float) else np.asarray(t, dtype=float)
+
+
+def _exp(x):
+    """``np.exp``, as a Python float for one float.
+
+    numpy's loop gives one float the bits it gives that float in an array;
+    ``math.exp`` differs from it on a few per cent of arguments.
+    """
+    return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
 
 
 @dataclass(frozen=True)
@@ -43,14 +64,16 @@ class FunnelFunction:
                              f"got {self.p}, {self.qrate}, {self.r}")
 
     def boundary(self, t):
-        """Error bound ``1 / phi(t) = p exp(-qrate t) + r``."""
-        t = np.asarray(t, dtype=float)
-        return self.p * np.exp(-self.qrate * t) + self.r
+        """Error bound ``1 / phi(t) = p exp(-qrate t) + r``.
+
+        A Python float at one time, an array over an array of times
+        (``_times``); both have the same bits.
+        """
+        return self.p * _exp(-self.qrate * _times(t)) + self.r
 
     def derivatives(self, t):
-        """``(phi, phi_dot)`` at ``t``."""
-        t = np.asarray(t, dtype=float)
-        w = self.p * np.exp(-self.qrate * t)
+        """``(phi, phi_dot)`` at ``t``, as ``boundary`` gives them."""
+        w = self.p * _exp(-self.qrate * _times(t))
         den = w + self.r
         return 1.0 / den, self.qrate * w / (den * den)
 
@@ -90,10 +113,14 @@ def timing_law(t, tf):
     """Smooth 0-to-1 transition over ``[0, tf]`` with three flat derivatives.
 
     Returns ``(r, rdot, rddot)`` of the degree-nine polynomial timing law,
-    clamped to its endpoint values outside the window.  Batched over ``t``.
+    clamped to its endpoint values outside the window.  Python floats at
+    one time, arrays over an array of times (``_times``).
     """
-    t = np.asarray(t, dtype=float)
-    tau = np.minimum(np.maximum(t / tf, 0.0), 1.0)
+    t = _times(t)
+    if isinstance(t, float):
+        tau = min(max(t / tf, 0.0), 1.0)
+    else:
+        tau = np.minimum(np.maximum(t / tf, 0.0), 1.0)
     tau2 = tau * tau
     tau3 = tau2 * tau
     tau4 = tau2 * tau2
@@ -112,8 +139,11 @@ class ReferenceSignal:
 
     The tool tip glides from ``r_start`` to ``r_end`` between ``t_start``
     and ``t_end`` under the smooth timing law and rests outside that
-    window.  Calling the signal returns ``(y_ref, ydot_ref)``.
-    ``t_start >= 0``, as ``reference_internal`` needs it at rest before 0.
+    window.  Calling the signal returns ``(y_ref, ydot_ref)``: two pairs
+    of Python floats at one time, two arrays over an array of times
+    (``_times``), with the same bits.  A tool-tip target at or beyond the
+    arm radius raises ``OutOfReach`` on either path.  ``t_start >= 0``,
+    as ``reference_internal`` needs it at rest before 0.
     """
 
     params: robot_mod.RobotParams
@@ -127,15 +157,25 @@ class ReferenceSignal:
             raise ValueError(f"need 0 <= t_start < t_end, got {self.t_start}, {self.t_end}")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _times(t)
         start1, start2 = map(float, self.r_start)
         end1, end2 = map(float, self.r_end)
         delta1, delta2 = end1 - start1, end2 - start2
         s, sdot, _ = timing_law(t - self.t_start, self.t_end - self.t_start)
-        r_app = robot_mod._stack_last(t.shape, start1 + s * delta1, start2 + s * delta2)
+        r1, r2 = start1 + s * delta1, start2 + s * delta2
         rd1, rd2 = sdot * delta1, sdot * delta2
 
         radius = self.params.arm_radius
+        if isinstance(t, float):
+            # robot.output_from_end_effector on one point, then the rates.
+            if abs(r2) >= radius:
+                raise OutOfReach(f"|r2| must stay below {radius:.6g}")
+            y2 = float(np.arcsin(-r2 / radius))
+            cos_y2 = math.cos(y2)
+            yd2 = -rd2 / (radius * cos_y2)
+            yd1 = rd1 + radius * math.sin(y2) * yd2
+            return (r1 - self.params.d - radius * cos_y2, y2), (yd1, yd2)
+        r_app = robot_mod._stack_last(t.shape, r1, r2)
         y = robot_mod.output_from_end_effector(self.params, r_app)
         _, y2 = robot_mod._components(y)
         yd2 = -rd2 / (radius * np.cos(y2))
@@ -167,7 +207,9 @@ def reference_internal(lin, ref):
     exponentially weighted Simpson cells, tabulated on a
     ``REFERENCE_GRID_STEP`` grid over ``[0, t_end]`` and joined by cubic
     Hermite pieces whose node slopes the ODE gives from the table.  Closed
-    forms cover the times outside, at rest.
+    forms cover the times outside, at rest.  The callable returns a Python
+    float at one time, read from the table's lists, and an array over an
+    array of times (``_times``), with the same bits.
     """
     mu = lin.qtilde
     t_end = float(ref.t_end)
@@ -184,9 +226,21 @@ def reference_internal(lin, ref):
         cell = h / 6.0 * (f[k] + 4.0 * decay_half * f_mid[k] + decay * f[k + 1])
         vals[k] = decay * vals[k + 1] - cell
     slopes = h * (mu * vals + f)
+    h = float(h)
+    vals_f, slopes_f, f0 = vals.tolist(), slopes.tolist(), float(f[0])
 
     def evaluate(t):
-        t = np.asarray(t, dtype=float)
+        t = _times(t)
+        if isinstance(t, float):
+            if t < 0.0:
+                grow = _exp(mu * t)
+                return grow * vals_f[0] - f0 * (1.0 - grow) / mu
+            x = min(t, t_end) / h
+            k = min(int(x), n - 1)
+            s = x - k
+            r = 1.0 - s
+            return (r * r * ((1.0 + 2.0 * s) * vals_f[k] + s * slopes_f[k])
+                    + s * s * ((3.0 - 2.0 * s) * vals_f[k + 1] - r * slopes_f[k + 1]))
         x = np.minimum(np.maximum(t, 0.0), t_end) / h
         k = np.minimum(x.astype(int), n - 1)
         s = x - k
@@ -238,23 +292,22 @@ def _gain(kappa, margin, label, t):
 
 
 def control_signals(t, design, ref):
-    """The inputs of ``control`` that depend on time alone, batched over ``t``.
+    """The inputs of ``control`` that depend on time alone.
 
     Returns ``(y_ref, ydot_ref, phi0, phi0_dot, bound1, bound2)``: the
     output reference and its rate, ``phi0`` and its rate, and the error
-    bounds ``1 / phi1`` and ``1 / phi2``.  All six are Python floats (the
-    two references as pairs) at a single time and lists of them for a
-    batch, so ``control`` computes its chain on floats.  Each entry of a
-    batch has the bits of the same call at its single time, so a row of
-    a batch evaluated ahead of time can stand in for the call.
+    bounds ``1 / phi1`` and ``1 / phi2``.  At one time, a Python float,
+    all six are Python floats (the two references as pairs), so
+    ``control`` computes its chain on floats; over an array of times they
+    are arrays with the same bits entry by entry.
     """
     y_ref, ydot_ref = ref(t)
     phi0, phi0_dot = design.phi0.derivatives(t)
-    return (y_ref.tolist(), ydot_ref.tolist(), phi0.tolist(), phi0_dot.tolist(),
-            design.phi1.boundary(t).tolist(), design.phi2.boundary(t).tolist())
+    return (y_ref, ydot_ref, phi0, phi0_dot,
+            design.phi1.boundary(t), design.phi2.boundary(t))
 
 
-def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
+def control(t, q, v, state, lin, design, ref, strict=True):
     """Funnel feedback ``u_fb`` for the robot state at time ``t``.
 
     Builds the internal-coordinate error chain (depth two, with surrogate
@@ -263,9 +316,10 @@ def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
     ``-rho * kbar * ebar`` together with diagnostics.  Each margin is
     checked before a gain divides by it, in the order e10, e11, e20,
     ebar; the first one that is not positive raises ``FunnelViolation``
-    with the time ``t``.  ``signals`` is ``control_signals`` at ``t``,
-    or its row of a batch; it is evaluated here when not given.
-    ``strict`` is accepted and ignored: every evaluation is strict.
+    with the time ``t``.  The time-only inputs are ``control_signals``
+    at ``float(t)``, evaluated here through ``ref`` and the funnel
+    levels.  ``strict`` is accepted and ignored: every evaluation is
+    strict.
 
     The whole chain runs on Python floats: the output ``y =
     robot.output``, its rate ``H v``, ``psi``, and the products with
@@ -283,9 +337,8 @@ def control(t, q, v, state, lin, design, ref, strict=True, signals=None):
     delta = params.delta
     y1, y2 = s2, beta + delta * gamma
     yd1, yd2 = v[1], v[3] + delta * v[4]
-    if signals is None:
-        signals = control_signals(float(t), design, ref)
-    (yr1, yr2), (ydr1, ydr2), phi0, phi0_dot, bound1, bound2 = signals
+    (yr1, yr2), (ydr1, ydr2), phi0, phi0_dot, bound1, bound2 = control_signals(
+        float(t), design, ref)
     (pt1, pt2), (k21, k22), _, _ = lin.float_entries
 
     dpsi = psi(q, v, lin, params, (y1, y2)) - state.eta2_ref

@@ -11,7 +11,6 @@ emission serve the command line.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -324,7 +323,7 @@ def compute_metrics(ts, params):
 
 # Dormand-Prince 4(5) tableau (fifth-order propagation, FSAL): the last
 # row of ``_DP_A`` holds the fifth-order weights.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -381,13 +380,6 @@ _STAGE_SUMS = (None,) + tuple(_stage_sum(pairs) for pairs in _STAGE_PAIRS[1:])
 _B4_SUM = _stage_sum(_B4_PAIRS)
 _MID_SUM = _stage_sum(_MID_PAIRS)
 
-# Fractions of the step at which one trial step's time-only signals are
-# evaluated: the new stages 1 to 5, then the midpoint.  Stage 6 shares
-# ``c = 1`` with stage 5, so it reads stage 5's row.
-_ROW_C = np.append(_DP_C[1:6], 0.5)
-_STAGE_ROW = (None, 0, 1, 2, 3, 4, 4)
-_MID_ROW = 5
-
 
 def _pairwise_sum(values):
     """``np.sum`` of a list of floats, in numpy's pairwise order.
@@ -430,10 +422,6 @@ def _error_norm(x, x4, x5, rel_tol, abs_tol):
     return math.sqrt(_pairwise_sum(squares) / len(squares))
 
 
-def _no_signals(times):
-    return [()] * len(times)
-
-
 def _timed(fn, t, *args):
     """``fn(t, *args)``, stamping ``t`` on a library error that has no time."""
     try:
@@ -445,27 +433,19 @@ def _timed(fn, t, *args):
 
 
 def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
-          check=None, signals=_no_signals):
+          check=None):
     """Adaptive embedded 4(5) integration with PI step-size control.
 
-    The state is a list of Python floats.  ``rhs(t, x, *row)`` returns
-    ``(xdot, aux)``, ``xdot`` a sequence of floats as long as ``x``;
-    ``on_accept(t, x, aux)`` runs at the start and after every accepted
-    step with the ``aux`` of the last (FSAL) stage, which sits at the
-    accepted point.  ``check(t, x, *row)``, when given, runs on the
-    dense output at the midpoint of every accepted step, before that
-    step's ``on_accept``.  The stage sums, the fourth-order solution,
-    the midpoint and the error norm have the bits of the same formulas
-    on numpy arrays (``_stage_sum``, ``_error_norm``).
-
-    ``row`` carries the inputs that depend on time alone.
-    ``signals(times)`` evaluates them for an array of times at once and
-    returns one tuple per time; by default every row is empty, so the
-    callables take ``(t, x)``.  It is called once at the start and once
-    per trial step, rejected ones included, with the step's new stage
-    times and its midpoint, ``t + _ROW_C * h``; each stage and the
-    midpoint check get the row at their own time, which is bit for bit
-    the time they are called at.
+    The state is a list of Python floats, and so is every time the
+    callables get.  ``rhs(t, x)`` returns ``(xdot, aux)``, ``xdot`` a
+    sequence of floats as long as ``x``; ``on_accept(t, x, aux)`` runs
+    at the start and after every accepted step with the ``aux`` of the
+    last (FSAL) stage, which sits at the accepted point.  ``check(t,
+    x)``, when given, runs on the dense output at the midpoint of every
+    accepted step, before that step's ``on_accept``.  The stage sums,
+    the fourth-order solution, the midpoint and the error norm have the
+    bits of the same formulas on numpy arrays (``_stage_sum``,
+    ``_error_norm``).
 
     Library errors from any callable get the time it was called at, so
     an error raised by a trial stage ends the run even when error
@@ -473,13 +453,12 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
     when the controller would step below ``MIN_STEP``.  Returns the end
     time and the state there.
     """
-    t = float(t_start)
+    t, t_end, max_step = float(t_start), float(t_end), float(max_step)
     x = np.asarray(x0, dtype=float).tolist()
-    h = min(max_step, (t_end - t_start) / 1000.0)
+    h = min(max_step, (t_end - t) / 1000.0)
     err_prev = 1.0
     k = [None] * 7
-    row, = signals(np.array([t]))
-    k[0], aux = _timed(rhs, t, x, *row)
+    k[0], aux = _timed(rhs, t, x)
     _timed(on_accept, t, x, aux)
     while True:
         gap = t_end - t
@@ -489,17 +468,15 @@ def _rk45(rhs, t_start, t_end, x0, rel_tol, abs_tol, max_step, on_accept,
         if h < MIN_STEP:
             raise StepSizeUnderflow(f"step size {h:.3e} below the minimum {MIN_STEP:g}",
                                     time=t)
-        rows = signals(t + _ROW_C * h)
         for i in range(1, 7):
             xi = _STAGE_SUMS[i](x, h, k)
-            k[i], stage_aux = _timed(rhs, t + _DP_C[i] * h, xi,
-                                     *rows[_STAGE_ROW[i]])
+            k[i], stage_aux = _timed(rhs, t + _DP_C[i] * h, xi)
         x5 = xi  # the last stage sits at the fifth-order solution
         err = _error_norm(x, _B4_SUM(x, h, k), x5, rel_tol, abs_tol)
         err = max(err, 1e-10)
         if err <= 1.0:
             if check is not None:
-                _timed(check, t + 0.5 * h, _MID_SUM(x, h, k), *rows[_MID_ROW])
+                _timed(check, t + 0.5 * h, _MID_SUM(x, h, k))
             t = t + h
             x = x5
             _timed(on_accept, t, x, stage_aux)
@@ -539,12 +516,16 @@ def integrate_closed_loop(scn):
 
     The plant uses the scenario's parameter preset while the controller,
     the reference and the inversion always use the reference parameters.
-    The inputs that depend on time alone (the feedforward, the reference,
-    the bounded internal reference and the funnel levels) are evaluated
-    once per integrator step, batched over the step's stage times and
-    midpoint; each mode evaluates only those it uses.  Accepted points
-    are logged from the ``aux`` of the integrator's evaluation there, so
-    each is evaluated once.  Every evaluation of the feedback checks
+    Each stage and each midpoint check evaluates the inputs that depend
+    on time alone at its own time, on Python floats: the feedforward,
+    the bounded internal reference and, inside ``funnel.control``, the
+    reference and the funnel levels.  Each mode evaluates only those it
+    uses.  An accepted point logs the state and what the integrator's
+    evaluation there handed over (the inputs, the multipliers and
+    ``||ebar||``); the output, the reference, the funnel boundary, the
+    constraint violation and the tool-tip reference are computed for all
+    accepted points at once after the run, with the bits of the same
+    calls at each point alone.  Every evaluation of the feedback checks
     funnel containment: at every integrator stage, the stages of steps
     that error control then rejects included, because the gains are
     undefined outside a funnel; and, with no saddle solve, at the dense
@@ -560,7 +541,7 @@ def integrate_closed_loop(scn):
     needs_ff = scn.mode in ("C1", "C3")
     needs_fb = scn.mode in ("C1", "C2")
 
-    u_zero = [0.0, 0.0]
+    u_zero = (0.0, 0.0)
     if needs_ff:
         u_ff_fn = bvp_mod.feedforward(_cached_solution(scn))
 
@@ -568,59 +549,44 @@ def integrate_closed_loop(scn):
         lin = internal_mod.linearize(ctrl_params, ref(ref.t_start)[0],
                                      ref(ref.t_end)[0], k1=scn.k1, k2=tuple(scn.k2))
         eta_ref = funnel_mod.reference_internal(lin, ref)
-        eta_ref0 = float(eta_ref(0.0))
+        eta_ref0 = eta_ref(0.0)
 
-    def signals(times):
-        """Per time, the ``(u_ff, y_ref, boundary, fb)`` that ``rhs``
-        takes after ``(t, x)``; ``fb`` is the feedback's ``(eta_ref,
-        control_signals)``, or None when no feedback runs."""
-        u_ff = u_ff_fn(times).tolist() if needs_ff else itertools.repeat(u_zero)
-        if needs_fb:
-            fb_signals = funnel_mod.control_signals(times, design, ref)
-            y_ref, boundary = fb_signals[0], fb_signals[-1]
-            fb = zip(eta_ref(times).tolist(), zip(*fb_signals))
-        else:
-            y_ref, boundary = ref(times)[0], design.phi2.boundary(times)
-            fb = itertools.repeat(None)
-        return list(zip(u_ff, y_ref, boundary, fb))
+    def feedback(t, q, v):
+        state = funnel_mod.ControllerState(eta2_ref=eta_ref(t), eta2_ref0=eta_ref0)
+        return funnel_mod.control(t, q, v, state, lin, design, ref)
 
-    def feedback(t, q, v, fb):
-        eta, fb_signals = fb
-        state = funnel_mod.ControllerState(eta2_ref=eta, eta2_ref0=eta_ref0)
-        return funnel_mod.control(t, q, v, state, lin, design, ref,
-                                  signals=fb_signals)
-
-    def rhs(t, x, u_ff, y_ref, boundary, fb):
+    def rhs(t, x):
         q, v = x[:5], x[5:]
-        u_fb, diag = (u_zero, None) if fb is None else feedback(t, q, v, fb)
+        u_ff = u_ff_fn(t) if needs_ff else u_zero
+        if needs_fb:
+            u_fb, diag = feedback(t, q, v)
+            ebar_norm = diag.ebar_norm
+        else:
+            u_fb, ebar_norm = u_zero, 0.0
         (ff1, ff2), (fb1, fb2) = u_ff, u_fb
         u = [ff1 + fb1, ff2 + fb2]
         vdot, lam = index1_accelerations(plant, q, v, u)
-        return v + vdot, (u_ff, y_ref, boundary, u_fb, u, lam, diag)
+        return v + vdot, (u_ff, u_fb, u, lam, ebar_norm)
 
     rows = []
 
     def on_accept(t, x, aux):
-        q, v = x[:5], x[5:]
-        u_ff, y_ref, boundary, u_fb, u, lam, diag = aux
-        y = np.asarray(plant.output(q), dtype=float)
-        rows.append((  # in the field order of TimeSeries
-            t, q, v, y, y_ref, u_ff, u_fb, u, lam,
-            0.0 if diag is None else diag.ebar_norm,
-            float(boundary),
-            float(np.abs(np.asarray(plant.holonomic(q))).max()),
-            robot_mod.end_effector(ctrl_params, y_ref),
-        ))
+        rows.append((t, x[:5], x[5:], *aux))
 
     q0, v0 = robot_mod.initial_state(ctrl_params)
     x0 = np.concatenate([q0, v0])
     _rk45(rhs, 0.0, scn.t_end, x0, scn.rel_tol, scn.abs_tol, scn.max_step,
           on_accept,
-          check=(lambda t, x, *row: feedback(t, x[:5], x[5:], row[-1]))
-          if needs_fb else None,
-          signals=signals)
+          check=(lambda t, x: feedback(t, x[:5], x[5:])) if needs_fb else None)
 
-    ts = TimeSeries(*(np.array(column) for column in zip(*rows)))
+    t, q, v, u_ff, u_fb, u, lam, ebar_norm = (np.array(column) for column in zip(*rows))
+    y_ref = ref(t)[0]
+    ts = TimeSeries(
+        t=t, q=q, v=v, y=plant.output(q), y_ref=y_ref, u_ff=u_ff, u_fb=u_fb,
+        u=u, lam=lam, ebar_norm=ebar_norm,
+        funnel_boundary=design.phi2.boundary(t),
+        g_norm=np.abs(plant.holonomic(q)).max(axis=-1),
+        r_app=robot_mod.end_effector(ctrl_params, y_ref))
     ts.validate()
     return ts, compute_metrics(ts, ctrl_params)
 

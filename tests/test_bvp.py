@@ -274,6 +274,27 @@ def test_feedforward_interpolant(quick_solution):
         assert np.array_equal(u_fn(t), np.stack(columns, axis=-1))
 
 
+def test_feedforward_single_time_has_np_interp_bits(quick_solution):
+    # A Python float takes the float path: np.interp's formula for one
+    # point, to the bit, on every kind of time the closed loop can pass.
+    sol = quick_solution
+    u_fn = feedforward(sol)
+    grid = sol.grid
+    inside = grid[:-1] + np.random.default_rng(5).uniform(size=grid.size - 1) * np.diff(grid)
+    times = np.concatenate([
+        grid,                                    # nodes, both window ends included
+        inside,                                  # inside each interval
+        np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        [grid[0] - 0.3, grid[0] - 100.0, grid[-1] + 0.3, grid[-1] + 100.0],  # outside
+    ])
+    for t in times.tolist():
+        got = u_fn(t)
+        want = [np.interp(t, grid, column) for column in sol.u.T]
+        assert type(got) is tuple and all(type(x) is float for x in got), t
+        assert [x.hex() for x in got] == [float(x).hex() for x in want], t
+        assert np.array_equal(u_fn(np.array([t]))[0], got), t
+
+
 def test_grid_refinement_converges():
     coarse = solve_bvp(MODEL, REFERENCE, SELECTION,
                        BvpOptions(t_start=-0.5, t_end=3.0, intervals=200))

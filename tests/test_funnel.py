@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from oracles import control_numpy
-from servofunnel.errors import FunnelViolation
+from servofunnel.errors import FunnelViolation, OutOfReach
 from servofunnel.funnel import (
     REFERENCE_GRID_STEP,
     ControlDiagnostics,
@@ -228,6 +228,34 @@ def test_time_functions_batched_match_single(name, lead):
     for idx in np.ndindex(ts.shape):
         for got, want in zip(batched, fn(ts[idx])):
             assert np.array_equal(got[idx], want), idx
+    # So does a Python float, the closed loop's own kind of time, which
+    # takes the float path and gets Python floats back; the log's columns,
+    # batched over the accepted times, then equal what each stage read.
+    # Many times, as math.exp and math.asin differ from numpy's loops on
+    # only a few per cent of arguments.
+    many = np.random.default_rng(10).uniform(-0.3, 1.3, size=400)
+    for times, batch in ((ts, batched), (many, fn(many))):
+        for idx in np.ndindex(times.shape):
+            single = fn(float(times[idx]))
+            for got, want in zip(batch, single):
+                assert np.array_equal(got[idx], want), idx
+            flat = [x for entry in single
+                    for x in (entry if isinstance(entry, tuple) else (entry,))]
+            assert all(type(x) is float for x in flat), (idx, single)
+
+
+def test_reference_out_of_reach_at_one_time():
+    # A tool-tip path through the arm radius: the float path raises
+    # OutOfReach where the batch does, and not before.
+    params = RobotParams.reference()
+    ref = ReferenceSignal(params, r_end=(0.9, -1.2 * params.arm_radius))
+    ref(0.0)
+    ref(np.array([0.0, 0.3]))
+    for t in (1.0, 2.0):
+        with pytest.raises(OutOfReach):
+            ref(np.array([0.0, t]))
+        with pytest.raises(OutOfReach):
+            ref(t)
 
 
 def test_controller_state_validation():
@@ -337,7 +365,7 @@ def test_control_float_chain_matches_the_numpy_formulas(mode):
         signals = control_signals(float(t), design, ref)
         eta = float(eta_ref(t))
         _, diag = control(t, q, v, ControllerState(eta2_ref=eta, eta2_ref0=eta),
-                          lin, design, ref, signals=signals)
+                          lin, design, ref)
         _, want_diag = control_numpy(t, q, v, eta, lin, design, ref, signals)
         got.append([getattr(diag, name) for name in names])
         want.append([getattr(want_diag, name) for name in names])

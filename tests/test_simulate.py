@@ -46,7 +46,6 @@ from servofunnel.simulate import (
     TimeSeries,
     _B4_PAIRS,
     _B4_SUM,
-    _DP_C,
     _FUNNEL_FIELDS,
     _MID_PAIRS,
     _MID_SUM,
@@ -326,52 +325,6 @@ def test_a_rejected_trial_stage_outside_its_funnel_ends_the_run():
     assert caught.value.time == first_out
 
 
-def test_time_signals_are_evaluated_once_per_trial_step():
-    """The pulse above, with the stage time handed over as a signal row:
-    ``signals`` runs once at the start and once per trial step, rejected
-    steps included, and every stage and midpoint check gets the row at
-    its own time, bit for bit."""
-    width = 0.01
-    rate = lambda t: np.array([np.exp(-((t - 0.5) / width) ** 2)
-                               / (width * np.sqrt(np.pi))])
-    calls = []
-    stages = []
-    midpoints = []
-    accepted = []
-
-    def signals(times):
-        calls.append(times.copy())
-        return [(s,) for s in times]
-
-    def rhs(t, x, s):
-        stages.append((t, s))
-        return rate(t), None
-
-    def check(t, x, s):
-        midpoints.append((t, s))
-
-    _rk45(rhs, 0.0, 1.0, np.zeros(1), 1e-6, 1e-8, 0.1,
-          lambda t, x, aux: accepted.append(t), check=check, signals=signals)
-    trials = [stages[i:i + 6] for i in range(1, len(stages), 6)]
-    assert len(calls) == 1 + len(trials)
-    assert len(trials) > len(accepted) - 1  # some trial steps were rejected
-    assert all(t == s for t, s in stages + midpoints)
-    assert stages[0][0] == 0.0 and list(calls[0]) == [0.0]
-
-    # Each trial step's rows sit at its stage times, the two stages at c = 1
-    # sharing one, and its midpoint; the midpoint check of an accepted step
-    # reads the last of them.
-    for times, trial in zip(calls[1:], trials):
-        assert [s for _, s in trial] == [*times[:5], times[4]]
-        start = max(t for t in accepted if t < times[0])
-        h = times[4] - start
-        assert np.allclose((times - start) / h, np.append(_DP_C[1:6], 0.5),
-                           rtol=0.0, atol=1e-9)
-    accepted_mids = [times[5] for times, trial in zip(calls[1:], trials)
-                     if trial[-1][0] in accepted]
-    assert [s for _, s in midpoints] == accepted_mids
-
-
 def test_open_loop_replay_keeps_its_fine_step():
     """The replay of the paper inversion measures the inversion, not the
     integrator.  At its own tolerances (3e-12/3e-14) it takes 5107 steps
@@ -613,9 +566,9 @@ def test_closed_loop_feedback_stays_inside_funnel(mode):
         u_ff_fn = feedforward(solve_inversion(scn))
 
     # The log comes from the integrator's evaluation at each accepted
-    # point, whose time-only signals are a row of a batch over the step;
-    # evaluating everything at that point alone must reproduce it bit for
-    # bit.
+    # point, and its time-only columns from one batch over all accepted
+    # times after the run; evaluating everything at that point alone must
+    # reproduce both bit for bit.
     ref = ReferenceSignal(PARAMS)
     lin = linearize(PARAMS, np.asarray(ref(ref.t_start)[0]),
                     np.asarray(ref(ref.t_end)[0]), k1=scn.k1, k2=scn.k2)
@@ -626,7 +579,7 @@ def test_closed_loop_feedback_stays_inside_funnel(mode):
         u_fb, diag = control(t, ts.q[i], ts.v[i], state, lin,
                              scn.funnel_design, ref, strict=True)
         u_ff = u_ff_fn(t)
-        u = u_ff + u_fb
+        u = np.add(u_ff, u_fb)
         _, lam = index1_accelerations(MODEL, ts.q[i], ts.v[i], u)
         y_ref = ref(t)[0]
         assert np.array_equal(ts.u_ff[i], u_ff)
