@@ -14,7 +14,6 @@ from .internal import (  # noqa: F401
     HighGainAssembly,
     LinearizedInternalDynamics,
     high_gain,
-    internal_coordinates,
     linearize,
     phi2_rows,
     psi,

@@ -402,16 +402,13 @@ def feedforward(sol):
     non-causal feedforward: whatever part of the window a run covers is
     applied as solved.
 
-    At one finite time, a Python float (``np.float64`` included), it
-    returns a tuple of Python floats by ``np.interp``'s formula for a
-    single point: the first node's value at or before the first node,
-    the last node's from the last node on, the node value on a node, and
-    ``slope * (t - t_j) + u_j`` inside interval ``j``, with ``slope =
-    (u_{j+1} - u_j) / (t_{j+1} - t_j)``; so it has ``np.interp``'s bits.
-    Any other ``t`` is an array of times and gets ``np.interp`` column by
-    column.
+    At one finite time (a Python float or ``np.float64``) it returns a
+    tuple of Python floats by ``np.interp``'s formula for a single point:
+    the first node's value at or before the first node, the last node's
+    from the last node on, the node value on a node, and ``slope * (t -
+    t_j) + u_j`` inside interval ``j``, with ``slope = (u_{j+1} - u_j) /
+    (t_{j+1} - t_j)``; so it has ``np.interp``'s bits.
     """
-    columns = sol.u.T.copy()
     grid = sol.grid.tolist()
     last = len(grid) - 1
     nodes = [tuple(u) for u in sol.u.tolist()]
@@ -419,18 +416,13 @@ def feedforward(sol):
               for u0, u1, t0, t1 in zip(nodes, nodes[1:], grid, grid[1:])]
 
     def u_ff(t):
-        if isinstance(t, float):
-            t = float(t)
-            j = bisect.bisect_right(grid, t) - 1
-            if j < 0:
-                return nodes[0]
-            if j == last or grid[j] == t:
-                return nodes[j]
-            dt = t - grid[j]
-            return tuple([slope * dt + u for slope, u in zip(slopes[j], nodes[j])])
-        u = np.empty(np.shape(t) + (len(columns),))
-        for i, column in enumerate(columns):
-            u[..., i] = np.interp(t, sol.grid, column)
-        return u
+        t = float(t)
+        j = bisect.bisect_right(grid, t) - 1
+        if j < 0:
+            return nodes[0]
+        if j == last or grid[j] == t:
+            return nodes[j]
+        dt = t - grid[j]
+        return tuple([slope * dt + u for slope, u in zip(slopes[j], nodes[j])])
 
     return u_ff

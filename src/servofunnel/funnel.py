@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,11 +26,13 @@ REFERENCE_GRID_STEP = 1e-3
 def _times(t):
     """One time as a Python float, or an array of times.
 
-    Every time-only callable here picks its path by this: a float
-    (``np.float64`` included) takes straight-line float arithmetic, as the
-    closed loop evaluates one stage at a time, and anything else is
-    converted to an array.  The two paths do the same operations in the
-    same order, so a float's result has the bits of its entry in a batch.
+    The funnel levels, the timing law and ``ReferenceSignal`` pick their
+    path by this: a float (``np.float64`` included) takes straight-line
+    float arithmetic, as the closed loop evaluates one stage at a time,
+    and anything else is converted to an array, as set-up and the log
+    evaluate many times at once.  The two paths do the same operations in
+    the same order, so a float's result has the bits of its entry in a
+    batch.
     """
     return float(t) if isinstance(t, float) else np.asarray(t, dtype=float)
 
@@ -156,11 +159,17 @@ class ReferenceSignal:
         if not 0.0 <= self.t_start < self.t_end:
             raise ValueError(f"need 0 <= t_start < t_end, got {self.t_start}, {self.t_end}")
 
-    def __call__(self, t):
-        t = _times(t)
+    @cached_property
+    def _path(self):
+        """``(start1, start2, delta1, delta2)``: the path start and its
+        displacement as Python floats, formed once per instance."""
         start1, start2 = map(float, self.r_start)
         end1, end2 = map(float, self.r_end)
-        delta1, delta2 = end1 - start1, end2 - start2
+        return start1, start2, end1 - start1, end2 - start2
+
+    def __call__(self, t):
+        t = _times(t)
+        start1, start2, delta1, delta2 = self._path
         s, sdot, _ = timing_law(t - self.t_start, self.t_end - self.t_start)
         r1, r2 = start1 + s * delta1, start2 + s * delta2
         rd1, rd2 = sdot * delta1, sdot * delta2
@@ -207,9 +216,9 @@ def reference_internal(lin, ref):
     exponentially weighted Simpson cells, tabulated on a
     ``REFERENCE_GRID_STEP`` grid over ``[0, t_end]`` and joined by cubic
     Hermite pieces whose node slopes the ODE gives from the table.  Closed
-    forms cover the times outside, at rest.  The callable returns a Python
-    float at one time, read from the table's lists, and an array over an
-    array of times (``_times``), with the same bits.
+    forms cover the times outside, at rest.  The callable takes one time
+    (a Python float or ``np.float64``) and returns a Python float, read
+    from the table's lists.
     """
     mu = lin.qtilde
     t_end = float(ref.t_end)
@@ -225,31 +234,21 @@ def reference_internal(lin, ref):
     for k in range(n - 1, -1, -1):
         cell = h / 6.0 * (f[k] + 4.0 * decay_half * f_mid[k] + decay * f[k + 1])
         vals[k] = decay * vals[k + 1] - cell
-    slopes = h * (mu * vals + f)
+    slopes = (h * (mu * vals + f)).tolist()
     h = float(h)
-    vals_f, slopes_f, f0 = vals.tolist(), slopes.tolist(), float(f[0])
+    vals, f0 = vals.tolist(), float(f[0])
 
     def evaluate(t):
-        t = _times(t)
-        if isinstance(t, float):
-            if t < 0.0:
-                grow = _exp(mu * t)
-                return grow * vals_f[0] - f0 * (1.0 - grow) / mu
-            x = min(t, t_end) / h
-            k = min(int(x), n - 1)
-            s = x - k
-            r = 1.0 - s
-            return (r * r * ((1.0 + 2.0 * s) * vals_f[k] + s * slopes_f[k])
-                    + s * s * ((3.0 - 2.0 * s) * vals_f[k + 1] - r * slopes_f[k + 1]))
-        x = np.minimum(np.maximum(t, 0.0), t_end) / h
-        k = np.minimum(x.astype(int), n - 1)
+        t = float(t)
+        if t < 0.0:
+            grow = _exp(mu * t)
+            return grow * vals[0] - f0 * (1.0 - grow) / mu
+        x = min(t, t_end) / h
+        k = min(int(x), n - 1)
         s = x - k
         r = 1.0 - s
-        inside = (r * r * ((1.0 + 2.0 * s) * vals[k] + s * slopes[k])
-                  + s * s * ((3.0 - 2.0 * s) * vals[k + 1] - r * slopes[k + 1]))
-        grow = np.exp(mu * np.minimum(t, 0.0))
-        before = grow * vals[0] - f[0] * (1.0 - grow) / mu
-        return np.where(t < 0.0, before, inside)
+        return (r * r * ((1.0 + 2.0 * s) * vals[k] + s * slopes[k])
+                + s * s * ((3.0 - 2.0 * s) * vals[k + 1] - r * slopes[k + 1]))
 
     return evaluate
 

@@ -15,7 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import robot as robot_mod
 from .errors import (
     DenominatorSingular,
     GammaSingular,
@@ -58,21 +57,20 @@ class LinearizedInternalDynamics:
     """Linearized internal dynamics split into stable and unstable parts.
 
     ``eta' = q eta + p1 y + p2 y'`` is the two-point averaged linearization
-    of the closed-form internal dynamics.  Removing the output derivative
-    through ``eta - p2 y`` gives the forcing matrix ``p = p1 + q p2``, and
-    ``t`` diagonalizes ``q`` with ascending eigenvalues ``(mu_stable,
-    mu_unstable)``.  The unstable coordinate is realized in measurable
-    quantities as ``psi = [0,1] t^-1 (p2 y - eta)``; along the linearized
-    flow it satisfies ``psi' = qtilde psi + ptilde y`` with ``qtilde =
-    mu_unstable`` and ``ptilde = -[0,1] t^-1 p``.  ``k1``, ``k2`` weight
-    the unstable coordinate and the outputs in the derived tracking
-    errors, and ``rho`` is the feedback direction sign.
+    of the closed-form internal dynamics, and ``t`` diagonalizes ``q``
+    with ascending eigenvalues ``(mu_stable, mu_unstable)``.  The unstable
+    coordinate is realized in measurable quantities as ``psi = [0,1] t^-1
+    (p2 y - eta)``; removing the output derivative through ``eta - p2 y``,
+    it satisfies ``psi' = qtilde psi + ptilde y`` along the linearized
+    flow, with ``qtilde = mu_unstable`` and ``ptilde = -[0,1] t^-1 (p1 +
+    q p2)``.  ``k1``, ``k2`` weight the unstable coordinate and the
+    outputs in the derived tracking errors, and ``rho`` is the feedback
+    direction sign.
     """
 
     q: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
-    p: np.ndarray
     t: np.ndarray
     tinv: np.ndarray
     mu_stable: float
@@ -160,31 +158,16 @@ def phi2_rows(model, q):
 
 
 def _phi_tilde_entries(params, sin_beta_gamma, cos_gamma):
-    """The nonzero entries ``(r1, r3, r4)`` of ``phi_tilde_row``, from
-    ``sin(beta + gamma)`` and ``cos(gamma)`` as floats or arrays."""
+    """The nonzero entries ``(r1, r3, r4)`` of the arm joint's momentum
+    row, in columns 1, 3 and 4, from ``sin(beta + gamma)`` and
+    ``cos(gamma)`` as floats or arrays.
+
+    Uses the exact homogeneous-rod constants, so the row matches the last
+    mass-matrix row exactly only when the inertia table does.
+    """
     p = params
     return (-0.5 * p.m3 * p.L3 * sin_beta_gamma,
             p.kappa + 0.25 * p.m3 * p.L2 * p.L3 * cos_gamma, p.kappa)
-
-
-def phi_tilde_row(params, q):
-    """Momentum row of the arm joint, proportional to the last mass-matrix row.
-
-    Uses the exact homogeneous-rod constants, so it matches the mass
-    matrix exactly only when the inertia table does.
-    """
-    q = np.asarray(q, dtype=float)
-    _, _, _, beta, gamma = robot_mod._components(q)
-    r1, r3, r4 = _phi_tilde_entries(params, np.sin(beta + gamma), np.cos(gamma))
-    return robot_mod._stack_last(q.shape[:-1], 0.0, r1, 0.0, r3, r4)
-
-
-def internal_coordinates(params, q, v):
-    """Internal coordinates ``(eta1, eta2)`` of a robot state, batched."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    eta2 = np.einsum("...i,...i->...", phi_tilde_row(params, q), v)
-    return robot_mod._components(q)[4], eta2
 
 
 def robot_internal_rhs(eta, y, ydot, params):
@@ -247,7 +230,7 @@ def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01), rho=1.0):
     tinv = solve_linear(t, np.eye(2))
     ptilde = -(tinv @ p_mat)[1]
     return LinearizedInternalDynamics(
-        q=q_mat, p1=p1, p2=p2, p=p_mat, t=t, tinv=tinv,
+        q=q_mat, p1=p1, p2=p2, t=t, tinv=tinv,
         mu_stable=float(mu_stable), mu_unstable=float(mu_unstable),
         qtilde=float(mu_unstable), ptilde=ptilde,
         k1=float(k1), k2=np.asarray(k2, dtype=float), rho=float(rho),
@@ -260,11 +243,12 @@ def psi(q, v, lin, params, y):
     Evaluates ``[0, 1] t^-1 (p2 y - (eta1, eta2))`` from the coordinates
     ``q`` and rates ``v`` of one state (1-d arrays or sequences of
     floats) and its output ``y = robot.output(params, q)``, a pair;
-    linear in ``v`` for fixed ``q``.  Runs on Python floats: ``eta2``,
-    the product of ``phi_tilde_row`` with ``v``, is summed left to right
-    over the row's nonzero entries, which gives the bits of
-    ``internal_coordinates``, and the products with ``p2`` and
-    ``tinv[1]`` are two-term sums over ``lin.float_entries``.
+    linear in ``v`` for fixed ``q``.  ``eta1`` is the arm angle
+    ``gamma`` and ``eta2`` the arm joint's momentum, the product of the
+    row ``_phi_tilde_entries`` gives with ``v``.  Runs on Python floats:
+    ``eta2`` is summed left to right over the row's nonzero entries, and
+    the products with ``p2`` and ``tinv[1]`` are two-term sums over
+    ``lin.float_entries``.
     """
     _, _, _, beta, gamma = q
     _, v1, _, v3, v4 = v

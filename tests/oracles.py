@@ -2,7 +2,8 @@
 
 None of these is on a path the library runs: the high-gain determinant's
 closed form, the exact homogeneous-rod parameter set, membership in an
-operating set, and the feedback law on numpy's batched formulas.
+operating set, the arm joint's momentum row, and the feedback law on
+numpy's batched formulas.
 """
 
 from dataclasses import replace
@@ -10,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from servofunnel.funnel import ControlDiagnostics, _gain
-from servofunnel.internal import internal_coordinates
+from servofunnel.internal import _phi_tilde_entries
 from servofunnel.robot import mass_matrix, output, output_jacobian
 
 
@@ -44,13 +45,22 @@ def contains(opset, q):
     return inside
 
 
+def momentum_row(params, q):
+    """The arm joint's momentum row, zeros and ``_phi_tilde_entries``,
+    batched over leading dimensions."""
+    q = np.asarray(q, dtype=float)
+    r1, r3, r4 = _phi_tilde_entries(params, np.sin(q[..., 3] + q[..., 4]), np.cos(q[..., 4]))
+    return np.stack(np.broadcast_arrays(0.0, r1, 0.0, r3, r4), axis=-1)
+
+
 def psi_numpy(q, v, lin, params):
     """The measured unstable coordinate ``[0, 1] t^-1 (p2 h(q) - (eta1,
     eta2))`` on numpy's batched formulas, batched over leading dimensions."""
     q = np.asarray(q, dtype=float)
     y = output(params, q)
+    eta2 = np.einsum("...i,...i->...", momentum_row(params, q), v)
     shifted = ((y[..., None, :] @ lin.p2.T)[..., 0, :]
-               - np.stack(internal_coordinates(params, q, v), axis=-1))
+               - np.stack([q[..., 4], eta2], axis=-1))
     return np.vecdot(shifted, lin.tinv[1])
 
 

@@ -1,5 +1,7 @@
 """Tests for the inversion boundary value problem and its feedforward."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from servofunnel.bvp import (
     robot_boundary_preset,
     solve_bvp,
 )
-from servofunnel.errors import BadGrid, NewtonDiverged
+from servofunnel.errors import BadGrid, NewtonDiverged, SingularMatrix
 from servofunnel.funnel import ReferenceSignal
+from servofunnel.model import two_mass_model
 from servofunnel.robot import (
     RobotParams,
     initial_configuration,
@@ -89,6 +92,31 @@ def test_batched_equilibrium_names_unreachable_target():
     targets[3] = (10.0, 1.5)
     with pytest.raises(NewtonDiverged, match=r"target 3\b"):
         equilibrium(MODEL, targets, q0)
+
+
+def test_equilibrium_names_target_with_non_finite_residual():
+    # The two-mass plant's forces blow up once mass 1 passes 1: the first
+    # Newton step puts it at its target, so only target 2 goes non-finite.
+    base, _ = two_mass_model()
+    model = dataclasses.replace(base, forces=lambda q, v: np.where(
+        np.asarray(q)[..., :1] > 1.0, np.inf, base.forces(q, v)))
+    targets = np.array([[0.1], [0.2], [5.0], [0.3]])
+    with pytest.raises(NewtonDiverged, match=r"non-finite at target 2\b"):
+        equilibrium(model, targets, np.zeros(2))
+
+
+def test_equilibrium_names_target_with_singular_block():
+    # The input acts nowhere once mass 2 starts past 1, so the Jacobian
+    # block of target 2, whose guess starts it there, has a zero column.
+    base, _ = two_mass_model()
+    model = dataclasses.replace(base, input_map=lambda q: np.where(
+        np.asarray(q)[..., 1:, None] > 1.0, 0.0, base.input_map(q)))
+    targets = np.array([[0.1], [0.2], [0.4], [0.3]])
+    guess = np.zeros((4, 2))
+    guess[2, 1] = 2.0
+    with pytest.raises(NewtonDiverged, match=r"Newton failed at target 2\b") as info:
+        equilibrium(model, targets, guess)
+    assert isinstance(info.value.__cause__, SingularMatrix)
 
 
 def test_grouped_jacobian_equals_per_column_differences(monkeypatch):
@@ -259,24 +287,24 @@ def test_solution_boundary_pins(quick_solution):
 
 def test_feedforward_interpolant(quick_solution):
     sol = quick_solution
-    u_fn = feedforward(sol)
+    u_ff = feedforward(sol)
+    u_fn = lambda ts: np.array([u_ff(t) for t in ts])
     assert np.abs(u_fn(sol.grid) - sol.u).max() < 1e-12
     # Between nodes it is the input the transcription solved for.
     mid = 0.5 * (sol.grid[:-1] + sol.grid[1:])
     assert np.abs(u_fn(mid) - 0.5 * (sol.u[:-1] + sol.u[1:])).max() < 1e-12
     assert np.abs(u_fn(np.array([-5.0, -0.51])) - sol.u[0]).max() < 1e-12
     assert np.abs(u_fn(np.array([4.0])) - sol.u[-1]).max() < 1e-12
-    single = u_fn(0.7)
+    single = u_ff(0.7)
     assert np.asarray(single).shape == (2,)
     # Each column is numpy's own linear interpolant, to the bit.
-    for t in (0.7, mid):
-        columns = [np.interp(t, sol.grid, u) for u in sol.u.T]
-        assert np.array_equal(u_fn(t), np.stack(columns, axis=-1))
+    for t in (0.7, *mid):
+        assert np.array_equal(u_ff(t), [np.interp(t, sol.grid, u) for u in sol.u.T])
 
 
 def test_feedforward_single_time_has_np_interp_bits(quick_solution):
-    # A Python float takes the float path: np.interp's formula for one
-    # point, to the bit, on every kind of time the closed loop can pass.
+    # One time gets np.interp's formula for one point, to the bit, on
+    # every kind of time the closed loop can pass.
     sol = quick_solution
     u_fn = feedforward(sol)
     grid = sol.grid
@@ -292,7 +320,10 @@ def test_feedforward_single_time_has_np_interp_bits(quick_solution):
         want = [np.interp(t, grid, column) for column in sol.u.T]
         assert type(got) is tuple and all(type(x) is float for x in got), t
         assert [x.hex() for x in got] == [float(x).hex() for x in want], t
-        assert np.array_equal(u_fn(np.array([t]))[0], got), t
+        # The log's times and CSV columns are np.float64: same floats, same bits.
+        got64 = u_fn(np.float64(t))
+        assert type(got64) is tuple and all(type(x) is float for x in got64), t
+        assert [x.hex() for x in got64] == [x.hex() for x in got], t
 
 
 def test_grid_refinement_converges():
@@ -301,8 +332,9 @@ def test_grid_refinement_converges():
     fine = solve_bvp(MODEL, REFERENCE, SELECTION,
                      BvpOptions(t_start=-0.5, t_end=3.0, intervals=400))
     ts = np.linspace(-0.5, 3.0, 500)
-    u_coarse = feedforward(coarse)(ts)
-    u_fine = feedforward(fine)(ts)
+    ff_coarse, ff_fine = feedforward(coarse), feedforward(fine)
+    u_coarse = np.array([ff_coarse(t) for t in ts])
+    u_fine = np.array([ff_fine(t) for t in ts])
     scale = np.abs(u_fine).max()
     assert np.abs(u_coarse - u_fine).max() <= 0.01 * scale
 

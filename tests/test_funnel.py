@@ -161,7 +161,8 @@ def test_reference_internal_start_value_and_constant_closed_form():
 
 def test_reference_internal_solves_the_unstable_ode():
     _, ref, lin = study_setup()
-    table = reference_internal(lin, ref)
+    eta_ref = reference_internal(lin, ref)
+    table = lambda ts: np.array([eta_ref(t) for t in ts])
     ts = np.linspace(0.05, 0.95, 200)
     step = 1e-5
     fd = (table(ts + step) - table(ts - step)) / (2 * step)
@@ -174,13 +175,13 @@ def test_reference_internal_solves_the_unstable_ode():
 
     yf = np.asarray(ref(ref.t_end)[0])
     tail = -float(lin.ptilde @ yf) / lin.qtilde
-    assert abs(table(2.0) - tail) < 1e-12
+    assert abs(eta_ref(2.0) - tail) < 1e-12
 
     # Closed-form exponential before the motion starts.
     head_y = float(lin.ptilde @ np.asarray(ref(0.0)[0]))
     grow = np.exp(lin.qtilde * (-0.3))
-    expected = grow * table(0.0) - head_y * (1.0 - grow) / lin.qtilde
-    assert abs(table(-0.3) - expected) < 1e-10
+    expected = grow * eta_ref(0.0) - head_y * (1.0 - grow) / lin.qtilde
+    assert abs(eta_ref(-0.3) - expected) < 1e-10
 
     # The table matches an independent backward solve from the tail value.
     # Its Simpson cells are off by up to 3.3e-9: their error on the weight
@@ -202,17 +203,15 @@ def test_reference_internal_solves_the_unstable_ode():
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3)])
-@pytest.mark.parametrize("name", ["timing_law", "reference", "eta_ref",
+@pytest.mark.parametrize("name", ["timing_law", "reference",
                                   "phi0", "phi1", "phi2"])
 def test_time_functions_batched_match_single(name, lead):
-    _, ref, lin = study_setup()
-    eta_ref = reference_internal(lin, ref)
+    _, ref, _ = study_setup()
     design = FunnelDesign.table_defaults()
     level = lambda phi: (lambda t: (*phi.derivatives(t), phi.boundary(t)))
     fn = {
         "timing_law": lambda t: timing_law(t, 0.8),
         "reference": ref,
-        "eta_ref": lambda t: (eta_ref(t),),
         "phi0": level(design.phi0),
         "phi1": level(design.phi1),
         "phi2": level(design.phi2),
@@ -242,6 +241,19 @@ def test_time_functions_batched_match_single(name, lead):
             flat = [x for entry in single
                     for x in (entry if isinstance(entry, tuple) else (entry,))]
             assert all(type(x) is float for x in flat), (idx, single)
+
+
+def test_eta_ref_at_numpy_time_has_float_bits():
+    # The log's times and CSV columns are np.float64; eta_ref gives them
+    # a Python float with the bits of the same Python-float time, before,
+    # inside and after the move.
+    _, ref, lin = study_setup()
+    eta_ref = reference_internal(lin, ref)
+    times = np.random.default_rng(10).uniform(-0.3, 1.3, size=400)
+    for t in np.concatenate([times, [0.0, ref.t_end, 2.0]]):
+        got, want = eta_ref(t), eta_ref(float(t))
+        assert type(got) is float and type(want) is float, t
+        assert got.hex() == want.hex(), t
 
 
 def test_reference_out_of_reach_at_one_time():

@@ -5,14 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import homogenized, psi_numpy
+from oracles import homogenized, momentum_row, psi_numpy
 from servofunnel.errors import DenominatorSingular, GramSingular
 from servofunnel.internal import (
     high_gain,
-    internal_coordinates,
     linearize,
     phi2_rows,
-    phi_tilde_row,
     psi,
     robot_internal_rhs,
 )
@@ -121,44 +119,25 @@ def test_phi_tilde_row_is_momentum_row_for_homogeneous_arm():
     qs = robot_operating_set(params).sample(rng, 100)
     from servofunnel.robot import mass_matrix
 
-    assert np.abs(phi_tilde_row(params, qs) - mass_matrix(params, qs)[..., 4, :]).max() < 1e-12
+    assert np.abs(momentum_row(params, qs) - mass_matrix(params, qs)[..., 4, :]).max() < 1e-12
 
     # With the rounded inertia table the two rows must differ, which is
     # exactly the model error the robust tracking study exercises.
     rounded = RobotParams.reference()
-    gap = np.abs(phi_tilde_row(rounded, qs) - mass_matrix(rounded, qs)[..., 4, :]).max()
+    gap = np.abs(momentum_row(rounded, qs) - mass_matrix(rounded, qs)[..., 4, :]).max()
     assert gap > 1e-5
-
-
-def test_internal_coordinates_batched():
-    params = RobotParams.reference()
-    rng = np.random.default_rng(5)
-    qs = robot_operating_set(params).sample(rng, 6)
-    vs = rng.normal(size=(6, 5))
-    eta1, eta2 = internal_coordinates(params, qs, vs)
-    assert np.array_equal(eta1, qs[:, 4])
-    for k in range(6):
-        assert abs(eta2[k] - phi_tilde_row(params, qs[k]) @ vs[k]) < 1e-14
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3)])
 def test_internal_coordinate_maps_batched_match_single(lead):
-    # One state unpacks into numpy scalars, a batch into views: both
-    # branches must give the same bits.
+    # psi takes one state, on floats: each row agrees with the batched
+    # numpy formula to rounding (numpy's products may fuse multiply-adds;
+    # worst measured 8.0e-16).
     params = RobotParams.reference()
     lin = linearize(params, *reference_endpoints(params))
     rng = np.random.default_rng(8)
     qs = robot_operating_set(params).sample(rng, 6).reshape(lead + (5,))
     vs = rng.normal(size=lead + (5,))
-    maps = (lambda q, v: phi_tilde_row(params, q),
-            lambda q, v: np.stack(internal_coordinates(params, q, v), axis=-1))
-    for fn in maps:
-        batched = fn(qs, vs)
-        for idx in np.ndindex(lead):
-            assert np.array_equal(batched[idx], fn(qs[idx], vs[idx])), idx
-    # psi takes one state, on floats: each row agrees with the batched
-    # numpy formula to rounding (numpy's products may fuse multiply-adds;
-    # worst measured 8.0e-16).
     batched = psi_numpy(qs, vs, lin, params)
     for idx in np.ndindex(lead):
         single = psi(qs[idx], vs[idx], lin, params, output(params, qs[idx]))
@@ -190,7 +169,8 @@ def test_internal_rhs_matches_multibody_flow():
     t, qs, vs = integrate_open_loop(model, lambda s: np.zeros(2),
                                     np.concatenate([q0, v0]), (0.0, 0.05),
                                     rel_tol=1e-10, abs_tol=1e-12, max_step=1e-4)
-    eta1, eta2 = internal_coordinates(params, qs, vs)
+    eta1 = qs[:, 4]
+    eta2 = np.einsum("...i,...i->...", momentum_row(params, qs), vs)
     y = output(params, qs)
     ydot = vs @ output_jacobian(params, q0).T
     rate1, rate2 = robot_internal_rhs(np.stack([eta1, eta2], axis=-1),
