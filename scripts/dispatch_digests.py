@@ -5,9 +5,11 @@ pick their kernels at run time, and each can be steered for one process
 by an environment variable.  This script runs ``compare`` once per
 setting, each in its own child process whose environment alone carries
 the setting; no machine setting changes.  For each setting it prints the
-sha256 of ``report.txt`` and of the three CSVs, the accepted step counts
-and the largest relative move of any report metric against the default
-setting; then, per metric, the largest relative move over all settings.
+kernels that setting's child process runs (OpenBLAS's core name, numpy's
+enabled dispatch targets and ``GLIBC_TUNABLES``), the sha256 of
+``report.txt`` and of the three CSVs, the accepted step counts and the
+largest relative move of any report metric against the default setting;
+then, per metric, the largest relative move over all settings.
 
 Run from the repository root:
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +41,26 @@ SETTINGS = (
 
 CSV_NAMES = ("c1.csv", "c2.csv", "c3.csv")
 
+#: The child process: print the kernels it runs as one JSON line, then run
+#: the command line given after ``-c``.  The OpenBLAS core name is read from
+#: numpy's bundled OpenBLAS; ``None`` where numpy bundles none.
+_CHILD = """\
+import ctypes, glob, json, os, sys
+import numpy
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+corename = None
+for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*")):
+    fn = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    fn.argtypes, fn.restype = [], ctypes.c_char_p
+    corename = fn().decode()
+print(json.dumps({"openblas": corename,
+                  "numpy": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+                  "glibc": os.environ.get("GLIBC_TUNABLES")}), flush=True)
+from servofunnel.cli import run_cli
+sys.exit(run_cli(sys.argv[1:]))
+"""
+
 
 def _sha(path):
     with open(path, "rb") as fh:
@@ -45,21 +68,22 @@ def _sha(path):
 
 
 def run_compare(scenario, extra_env):
-    """``compare`` in a child process; returns its digests and metrics."""
+    """``compare`` in a child process; returns its kernels, digests and metrics."""
     env = dict(os.environ, **extra_env)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     with tempfile.TemporaryDirectory() as out:
-        subprocess.run([sys.executable, "-m", "servofunnel", "compare",
-                        "--scenario", scenario, "--out", out],
-                       env=env, check=True, stdout=subprocess.DEVNULL)
+        child = subprocess.run([sys.executable, "-c", _CHILD, "compare",
+                                "--scenario", scenario, "--out", out],
+                               env=env, check=True, stdout=subprocess.PIPE, text=True)
         report = os.path.join(out, "report.txt")
         metrics = {}
         with open(report) as fh:
             for line in fh:
                 name, value = line.split(":")
                 metrics[name.strip()] = float(value)
-        return {"report": _sha(report),
+        return {"kernels": json.loads(child.stdout.splitlines()[0]),
+                "report": _sha(report),
                 "csv": [_sha(os.path.join(out, name)) for name in CSV_NAMES],
                 "metrics": metrics}
 
@@ -86,7 +110,10 @@ def main(argv=None):
         worst = max(moves, key=moves.get)
         steps = "/".join(f"{run['metrics'][f'{m}.step_count']:.0f}"
                          for m in ("C1", "C2", "C3"))
+        kernels = run["kernels"]
         print(f"{label}")
+        print(f"  kernels: OpenBLAS {kernels['openblas']}; numpy "
+              + " ".join(kernels["numpy"]) + f"; GLIBC_TUNABLES {kernels['glibc']}")
         print(f"  report {run['report'][:16]}  csv "
               + " ".join(digest[:16] for digest in run["csv"]) + f"  steps {steps}")
         print(f"  largest move {moves[worst]:.3e}"

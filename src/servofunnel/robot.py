@@ -71,7 +71,7 @@ class RobotParams:
         """Output coupling factor ``2 L3 / (L2 + 2 L3)``."""
         return 2.0 * self.L3 / (self.L2 + 2.0 * self.L3)
 
-    @property
+    @cached_property
     def arm_radius(self):
         """Distance ``L2/2 + L3`` from the rod midpoint joint to the tool tip."""
         return self.L2 / 2.0 + self.L3
@@ -95,92 +95,105 @@ def _stack_last(shape, *columns):
     return out
 
 
+# One formula per term; ``+ - * /`` round alike on floats and arrays, so both paths keep bits.
+#: Upper-triangle positions of ``_mass_entries`` in ``M``; the rest is zero.
+_MASS_INDEX = ((0, 0), (0, 2), (1, 1), (1, 3), (1, 4), (2, 2), (3, 3), (3, 4), (4, 4))
+
+
+def _mass_entries(p, ca, sb, cg, sbg):
+    """Entries ``(m00, m02, m11, m13, m14, m22, m33, m34, m44)`` of ``M``."""
+    m14 = -p.X3 * p.m3 * sbg
+    return (p.m1,
+            p.L1 * p.m1 * ca / 2.0,
+            p.m2 + p.m3,
+            m14 - p.L2 * p.m3 * sb / 2.0,
+            m14,
+            p.m1 * p.L1 ** 2 / 4.0 + p.I1,
+            (p.m3 * p.L2 ** 2 / 4.0 + p.m3 * cg * p.L2 * p.X3
+             + p.m3 * p.X3 ** 2 + p.I2 + p.I3),
+            p.m3 * p.X3 ** 2 + p.L2 * p.m3 * cg * p.X3 / 2.0 + p.I3,
+            p.m3 * p.X3 ** 2 + p.I3)
+
+
+def _force_entries(p, sa, cb, sg, cbg, gamma, ad, bd, gd):
+    """Entries ``(f0, f1, f3, f4)`` of ``f(q, v)``; ``f2`` is zero.  Squares
+    are products: a numpy scalar's ``** 2`` is ``pow``, which can round otherwise."""
+    return (0.5 * p.L1 * (ad * ad) * p.m1 * sa,
+            0.5 * p.m3 * (2.0 * p.X3 * (bd * bd) * cbg
+                          + 2.0 * p.X3 * (gd * gd) * cbg
+                          + p.L2 * (bd * bd) * cb
+                          + 4.0 * p.X3 * bd * gd * cbg),
+            0.5 * p.L2 * p.X3 * gd * p.m3 * sg * (2.0 * bd + gd),
+            -0.5 * p.L2 * p.X3 * p.m3 * sg * (bd * bd) - p.D * gd - p.c * gamma)
+
+
+def _jacobian_entries(p, sa, ca, sb, cb):
+    """Entries ``(G[0, 2], G[0, 3], G[1, 2], G[1, 3])``; the other entries
+    of ``G`` are ``G[0, 1] = -1``, ``G[1, 0] = 1`` and zeros."""
+    return -p.L1 * sa, -0.5 * p.L2 * sb, p.L1 * ca, -0.5 * p.L2 * cb
+
+
+def _closure_rows(p, s1, s2, sa, ca, sb, cb):
+    """The two rows of ``g(q)``."""
+    return (p.L1 * ca - s2 - p.d + 0.5 * p.L2 * cb,
+            s1 + p.L1 * sa - 0.5 * p.L2 * sb)
+
+
 def mass_matrix(params, q):
     """Symmetric mass matrix ``M(q)``, batched over leading dimensions."""
-    p = params
     q = np.asarray(q, dtype=float)
     _, _, alpha, beta, gamma = _components(q)
-    sbg = np.sin(beta + gamma)
     m = np.zeros(q.shape[:-1] + (5, 5))
-    m[..., 0, 0] = p.m1
-    m[..., 0, 2] = m[..., 2, 0] = p.L1 * p.m1 * np.cos(alpha) / 2.0
-    m[..., 1, 1] = p.m2 + p.m3
-    m[..., 1, 3] = m[..., 3, 1] = -p.X3 * p.m3 * sbg - p.L2 * p.m3 * np.sin(beta) / 2.0
-    m[..., 1, 4] = m[..., 4, 1] = -p.X3 * p.m3 * sbg
-    m[..., 2, 2] = p.m1 * p.L1 ** 2 / 4.0 + p.I1
-    m[..., 3, 3] = (p.m3 * p.L2 ** 2 / 4.0 + p.m3 * np.cos(gamma) * p.L2 * p.X3
-                    + p.m3 * p.X3 ** 2 + p.I2 + p.I3)
-    m[..., 3, 4] = m[..., 4, 3] = (p.m3 * p.X3 ** 2
-                                   + p.L2 * p.m3 * np.cos(gamma) * p.X3 / 2.0 + p.I3)
-    m[..., 4, 4] = p.m3 * p.X3 ** 2 + p.I3
+    entries = _mass_entries(params, np.cos(alpha), np.sin(beta), np.cos(gamma),
+                            np.sin(beta + gamma))
+    for (i, j), entry in zip(_MASS_INDEX, entries):
+        m[..., i, j] = m[..., j, i] = entry
     return m
 
 
 def generalized_forces(params, q, v):
-    """Gyroscopic, centrifugal and joint spring-damper forces ``f(q, v)``.
-
-    Squares are products: on a numpy scalar ``** 2`` calls ``pow``, which
-    can round differently from the array square of a batch.
-    """
-    p = params
+    """Gyroscopic, centrifugal and joint spring-damper forces ``f(q, v)``."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     _, _, alpha, beta, gamma = _components(q)
     _, _, ad, bd, gd = _components(v)
-    cbg = np.cos(beta + gamma)
-    return _stack_last(
-        q.shape[:-1],
-        0.5 * p.L1 * (ad * ad) * p.m1 * np.sin(alpha),
-        0.5 * p.m3 * (2.0 * p.X3 * (bd * bd) * cbg
-                      + 2.0 * p.X3 * (gd * gd) * cbg
-                      + p.L2 * (bd * bd) * np.cos(beta)
-                      + 4.0 * p.X3 * bd * gd * cbg),
-        0.0,
-        0.5 * p.L2 * p.X3 * gd * p.m3 * np.sin(gamma) * (2.0 * bd + gd),
-        (-0.5 * p.L2 * p.X3 * p.m3 * np.sin(gamma) * (bd * bd)
-         - p.D * gd - p.c * gamma),
-    )
+    f0, f1, f3, f4 = _force_entries(params, np.sin(alpha), np.cos(beta), np.sin(gamma),
+                                    np.cos(beta + gamma), gamma, ad, bd, gd)
+    return _stack_last(q.shape[:-1], f0, f1, 0.0, f3, f4)
 
 
 def loop_closure(params, q):
     """Holonomic loop-closure residual ``g(q)`` (zero on the manifold)."""
-    p = params
     q = np.asarray(q, dtype=float)
     s1, s2, alpha, beta, _ = _components(q)
-    return _stack_last(
-        q.shape[:-1],
-        p.L1 * np.cos(alpha) - s2 - p.d + 0.5 * p.L2 * np.cos(beta),
-        s1 + p.L1 * np.sin(alpha) - 0.5 * p.L2 * np.sin(beta),
-    )
+    return _stack_last(q.shape[:-1], *_closure_rows(
+        params, s1, s2, np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)))
 
 
 def loop_closure_jacobian(params, q):
     """Jacobian ``G(q)`` of the loop-closure residual."""
-    p = params
     q = np.asarray(q, dtype=float)
     _, _, alpha, beta, _ = _components(q)
     g = np.zeros(q.shape[:-1] + (2, 5))
     g[..., 0, 1] = -1.0
-    g[..., 0, 2] = -p.L1 * np.sin(alpha)
-    g[..., 0, 3] = -0.5 * p.L2 * np.sin(beta)
     g[..., 1, 0] = 1.0
-    g[..., 1, 2] = p.L1 * np.cos(alpha)
-    g[..., 1, 3] = -0.5 * p.L2 * np.cos(beta)
+    g[..., 0, 2], g[..., 0, 3], g[..., 1, 2], g[..., 1, 3] = _jacobian_entries(
+        params, np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta))
     return g
 
 
 def loop_closure_jacobian_dot(params, q, v):
-    """Time derivative of ``G`` along ``v``."""
-    p = params
+    """Time derivative of ``G`` along ``v``: each angle entry of ``G`` is linear
+    in one sine or cosine, so its rate is that entry at ``(cos, -sin)`` times the rate."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     _, _, alpha, beta, _ = _components(q)
     _, _, ad, bd, _ = _components(v)
+    g02, g03, g12, g13 = _jacobian_entries(params, np.cos(alpha), -np.sin(alpha),
+                                           np.cos(beta), -np.sin(beta))
     gd = np.zeros(q.shape[:-1] + (2, 5))
-    gd[..., 0, 2] = -p.L1 * np.cos(alpha) * ad
-    gd[..., 0, 3] = -0.5 * p.L2 * np.cos(beta) * bd
-    gd[..., 1, 2] = -p.L1 * np.sin(alpha) * ad
-    gd[..., 1, 3] = 0.5 * p.L2 * np.sin(beta) * bd
+    gd[..., 0, 2], gd[..., 0, 3], gd[..., 1, 2], gd[..., 1, 3] = (
+        g02 * ad, g03 * bd, g12 * ad, g13 * bd)
     return gd
 
 
@@ -208,7 +221,7 @@ def index1_solve(params, q, v, u, baumgarte):
     sec. 5): both blocks are inverted by cofactors, then ``W = M^-1 G^T``,
     ``z = M^-1 (f + B u)``, ``S = G W``, ``lam = S^-1 (c - G z)`` and
     ``vdot = z + W lam``, with ``c`` the constraint rows' right-hand side.
-    Every term comes from one ``sin``/``cos`` per angle.
+    One ``sin``/``cos`` per angle feeds the shared entry helpers.
 
     Raises ``NonFiniteEvaluation`` when the state or input is not finite,
     and ``SaddleSingular`` when a pivot of the elimination falls below
@@ -226,34 +239,20 @@ def index1_solve(params, q, v, u, baumgarte):
     sg, cg = math.sin(gamma), math.cos(gamma)
     sbg, cbg = math.sin(beta + gamma), math.cos(beta + gamma)
 
-    # M over (s1, alpha) and over (s2, beta, gamma); the rows of G.
-    m00, m22 = p.m1, p.m1 * p.L1 ** 2 / 4.0 + p.I1
-    m02 = p.L1 * p.m1 * ca / 2.0
-    m11, m44 = p.m2 + p.m3, p.m3 * p.X3 ** 2 + p.I3
-    m14 = -p.X3 * p.m3 * sbg
-    m13 = m14 - p.L2 * p.m3 * sb / 2.0
-    m33 = (p.m3 * p.L2 ** 2 / 4.0 + p.m3 * cg * p.L2 * p.X3
-           + p.m3 * p.X3 ** 2 + p.I2 + p.I3)
-    m34 = p.m3 * p.X3 ** 2 + p.L2 * p.m3 * cg * p.X3 / 2.0 + p.I3
-    g02, g03 = -p.L1 * sa, -0.5 * p.L2 * sb  # row 0: (0, -1, g02, g03, 0)
-    g12, g13 = p.L1 * ca, -0.5 * p.L2 * cb   # row 1: (1, 0, g12, g13, 0)
+    # M over (s1, alpha) and over (s2, beta, gamma); G, and Gdot = d * rate.
+    m00, m02, m11, m13, m14, m22, m33, m34, m44 = _mass_entries(p, ca, sb, cg, sbg)
+    g02, g03, g12, g13 = _jacobian_entries(p, sa, ca, sb, cb)
+    d02, d03, d12, d13 = _jacobian_entries(p, ca, -sa, cb, -sb)
 
     # f + B u (its alpha entry is zero) and c = -Gdot v - 2b G v - b^2 g.
-    r0 = 0.5 * p.L1 * (ad * ad) * p.m1 * sa + u0
-    r1 = 0.5 * p.m3 * (2.0 * p.X3 * (bd * bd) * cbg
-                       + 2.0 * p.X3 * (gd * gd) * cbg
-                       + p.L2 * (bd * bd) * cb
-                       + 4.0 * p.X3 * bd * gd * cbg) + u1
-    r3 = 0.5 * p.L2 * p.X3 * gd * p.m3 * sg * (2.0 * bd + gd)
-    r4 = (-0.5 * p.L2 * p.X3 * p.m3 * sg * (bd * bd)
-          - p.D * gd - p.c * gamma)
+    f0, f1, r3, r4 = _force_entries(p, sa, cb, sg, cbg, gamma, ad, bd, gd)
+    r0, r1 = f0 + u0, f1 + u1
+    closure0, closure1 = _closure_rows(p, s1, s2, sa, ca, sb, cb)
     gain, square = 2.0 * baumgarte, baumgarte * baumgarte
-    c0 = (p.L1 * ca * (ad * ad) + 0.5 * p.L2 * cb * (bd * bd)
-          - gain * (g02 * ad + g03 * bd - v1)
-          - square * (p.L1 * ca - s2 - p.d + 0.5 * p.L2 * cb))
-    c1 = (p.L1 * sa * (ad * ad) - 0.5 * p.L2 * sb * (bd * bd)
-          - gain * (v0 + g12 * ad + g13 * bd)
-          - square * (s1 + p.L1 * sa - 0.5 * p.L2 * sb))
+    c0 = (-d02 * (ad * ad) - d03 * (bd * bd)
+          - gain * (g02 * ad + g03 * bd - v1) - square * closure0)
+    c1 = (-d12 * (ad * ad) - d13 * (bd * bd)
+          - gain * (v0 + g12 * ad + g13 * bd) - square * closure1)
     if not all(map(math.isfinite, (r0, r1, r3, r4, c0, c1))):
         raise NonFiniteEvaluation("right-hand side is not finite")
 

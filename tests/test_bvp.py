@@ -16,7 +16,7 @@ from servofunnel.bvp import (
     robot_boundary_preset,
     solve_bvp,
 )
-from servofunnel.errors import BadGrid, NewtonDiverged, SingularMatrix
+from servofunnel.errors import BadGrid, NewtonDiverged, NonFiniteEvaluation, SingularMatrix
 from servofunnel.funnel import ReferenceSignal
 from servofunnel.model import two_mass_model
 from servofunnel.robot import (
@@ -149,6 +149,49 @@ def test_boundary_selection_validation():
         BoundarySelection(fixed_start=((0, 0.0), (0, 1.0)), fixed_end=())
     with pytest.raises(ValueError):
         BoundarySelection(fixed_start=((-1, 0.0),), fixed_end=())
+
+
+@pytest.mark.parametrize("fixed_start, fixed_end, message", [
+    (((0, 0.0), (1, 0.0)), ((0, 0.5),), r"pins 3 entries, need 5"),
+    (((0, 0.0), (1, 0.0), (2, 0.0)), ((0, 0.5), (5, 0.0)), r"outside the node stack"),
+], ids=["too-few-pins", "index-past-the-node"])
+def test_transcription_rejects_a_selection_that_misses_one_node(fixed_start, fixed_end,
+                                                                message):
+    # The two-mass node stack (q, v, u) is 5 entries wide.
+    model, _ = two_mass_model()
+    sel = BoundarySelection(fixed_start=fixed_start, fixed_end=fixed_end)
+
+    def rest(t):
+        return np.zeros(np.shape(t) + (1,)), np.zeros(np.shape(t) + (1,))
+
+    with pytest.raises(ValueError, match=message):
+        _Transcription(model, rest, sel, np.linspace(0.0, 1.0, 11))
+
+
+def test_newton_turns_a_singular_band_into_divergence():
+    class ZeroBand:
+        bandwidths = (1, 1)
+
+        def residual(self, z):
+            return z - 1.0
+
+        def banded_jacobian(self, z, base):
+            return np.zeros((3, z.size))
+
+    with pytest.raises(NewtonDiverged, match="singular Jacobian") as info:
+        bvp._newton(ZeroBand(), np.zeros(4))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_equilibrium_turns_a_non_finite_difference_into_divergence():
+    # The forces blow up just past mass 1's guess 0: the residual at the
+    # guess is finite, but the central difference steps onto the other side.
+    base, _ = two_mass_model()
+    model = dataclasses.replace(base, forces=lambda q, v: np.where(
+        np.asarray(q)[..., :1] > 0.0, np.inf, base.forces(q, v)))
+    with pytest.raises(NewtonDiverged, match=r"Newton failed: function evaluation") as info:
+        equilibrium(model, np.array([[0.1], [0.2]]), np.zeros(2))
+    assert isinstance(info.value.__cause__, NonFiniteEvaluation)
 
 
 def test_robot_preset_pins_one_full_node():

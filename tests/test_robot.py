@@ -130,13 +130,15 @@ def test_derived_constants_are_cached_per_instance():
     params = RobotParams.reference()
     assert params.kappa == params.m3 * params.L3 ** 2 / 3.0
     assert params.delta == 2.0 * params.L3 / (params.L2 + 2.0 * params.L3)
+    assert params.arm_radius == params.L2 / 2.0 + params.L3
     heavier = dataclasses.replace(params, m3=4.1)
     assert heavier.kappa == 4.1 * params.L3 ** 2 / 3.0 != params.kappa
     assert params.kappa == params.m3 * params.L3 ** 2 / 3.0
     # The cache lives in the instance dict, outside the fields, so
     # equality and hashing see only the fields.
     fresh = RobotParams.reference()
-    assert "kappa" in vars(params) and "kappa" not in vars(fresh)
+    for name in ("kappa", "delta", "arm_radius"):
+        assert name in vars(params) and name not in vars(fresh)
     assert params == fresh and hash(params) == hash(fresh)
     assert params != heavier
 

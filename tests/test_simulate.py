@@ -465,6 +465,12 @@ def test_parse_scenario_rejects_malformed_input(tmp_path):
     with pytest.raises(ConfigError):
         parse_scenario(bad_funnel)
 
+    bad_level = tmp_path / "bad_level.cfg"
+    bad_level.write_text("# level 0\nfunnel.0.q = abc\n")
+    with pytest.raises(ConfigError,
+                       match=r"bad_level\.cfg:2: bad value for funnel\.0\.q: 'abc'"):
+        parse_scenario(bad_level)
+
     bad_pair = tmp_path / "bad_pair.cfg"
     bad_pair.write_text("K2 = 1, fast\n")
     with pytest.raises(ConfigError):
