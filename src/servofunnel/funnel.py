@@ -312,7 +312,7 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     Builds the internal-coordinate error chain (depth two, with surrogate
     derivatives from the linearized internal dynamics) and the output
     error chain (depth one), bundles their top errors, and returns
-    ``-rho * kbar * ebar`` together with diagnostics.  Each margin is
+    ``-kbar * ebar`` together with diagnostics.  Each margin is
     checked before a gain divides by it, in the order e10, e11, e20,
     ebar; the first one that is not positive raises ``FunnelViolation``
     with the time ``t``.  The time-only inputs are ``control_signals``
@@ -374,7 +374,7 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     ebar_norm = math.sqrt(e12 * e12 + e21 * e21)
     margin_ebar = 1.0 - (phi2 * phi2) * (ebar_norm * ebar_norm)
     kbar = _gain(design.kappa2, margin_ebar, "ebar", t)
-    gain = -lin.rho * kbar
+    gain = -kbar
     u_fb = (gain * e12, gain * e21)
 
     diag = ControlDiagnostics(

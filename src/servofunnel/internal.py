@@ -64,8 +64,7 @@ class LinearizedInternalDynamics:
     it satisfies ``psi' = qtilde psi + ptilde y`` along the linearized
     flow, with ``qtilde = mu_unstable`` and ``ptilde = -[0,1] t^-1 (p1 +
     q p2)``.  ``k1``, ``k2`` weight the unstable coordinate and the
-    outputs in the derived tracking errors, and ``rho`` is the feedback
-    direction sign.
+    outputs in the derived tracking errors.
     """
 
     q: np.ndarray
@@ -79,7 +78,6 @@ class LinearizedInternalDynamics:
     ptilde: np.ndarray
     k1: float
     k2: np.ndarray
-    rho: float
 
     @cached_property
     def float_entries(self):
@@ -206,7 +204,7 @@ def robot_internal_rhs(eta, y, ydot, params):
     return eta1dot, eta2dot
 
 
-def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01), rho=1.0):
+def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01)):
     """Linearize the internal dynamics about the reference endpoints.
 
     Jacobians with respect to the internal state, the outputs and the
@@ -233,7 +231,7 @@ def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01), rho=1.0):
         q=q_mat, p1=p1, p2=p2, t=t, tinv=tinv,
         mu_stable=float(mu_stable), mu_unstable=float(mu_unstable),
         qtilde=float(mu_unstable), ptilde=ptilde,
-        k1=float(k1), k2=np.asarray(k2, dtype=float), rho=float(rho),
+        k1=float(k1), k2=np.asarray(k2, dtype=float),
     )
 
 

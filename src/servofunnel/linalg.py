@@ -25,10 +25,10 @@ PIVOT_RTOL = 1e-12
 RANK_RTOL = 1e-10
 
 
-def _as_matrix(a, name="matrix"):
+def _as_matrix(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+        raise ValueError(f"matrix must be 2-dimensional, got shape {a.shape}")
     return a
 
 

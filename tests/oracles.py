@@ -106,7 +106,7 @@ def control_numpy(t, q, v, eta2_ref, lin, design, ref, signals):
     ebar_norm = float(np.sqrt(ebar @ ebar))
     margin_ebar = 1.0 - phi2 ** 2 * ebar_norm ** 2
     kbar = _gain(design.kappa2, margin_ebar, "ebar", t)
-    u_fb = -lin.rho * kbar * ebar
+    u_fb = -kbar * ebar
     return u_fb, ControlDiagnostics(
         e10=e10, e11=e11, e12=e12, e20=e20, e21=e21,
         k10=k10, k11=k11, k20=k20, kbar=kbar, ebar_norm=ebar_norm,

@@ -194,6 +194,33 @@ def test_equilibrium_turns_a_non_finite_difference_into_divergence():
     assert isinstance(info.value.__cause__, NonFiniteEvaluation)
 
 
+def test_line_search_backs_off_a_non_finite_residual(monkeypatch):
+    # On 40 intervals the first full Newton step from the equilibrium
+    # guess takes the arm angle down to -0.0887 rad, past the solution's
+    # -0.0867.  Forces that are NaN below -0.0876 rad make that candidate's
+    # residual non-finite; the line search shortens the step, and Newton
+    # still converges.
+    model = dataclasses.replace(MODEL, forces=lambda q, v: np.where(
+        np.asarray(q)[..., 4:] < -0.0876, np.nan, MODEL.forces(q, v)))
+    grid = BvpOptions(intervals=40).grid(REFERENCE)
+    trans = _Transcription(model, REFERENCE, SELECTION, grid)
+    rejected = []
+    residual = trans.residual
+
+    def recording(z):
+        try:
+            return residual(z)
+        except NonFiniteEvaluation:
+            rejected.append(z)
+            raise
+
+    monkeypatch.setattr(trans, "residual", recording)
+    z, norm, _ = bvp._newton(trans, _initial_guess(model, REFERENCE, SELECTION, grid))
+    assert len(rejected) == 1
+    assert norm <= bvp.RESIDUAL_TOL
+    assert trans.split(z)[0][:, 4].min() > -0.0876
+
+
 def test_robot_preset_pins_one_full_node():
     width = 2 * 5 + 2 + 2
     pins = len(SELECTION.fixed_start) + len(SELECTION.fixed_end)

@@ -84,17 +84,31 @@ def test_out_of_range_values_are_config_errors(tmp_path, capsys, keys):
     assert "config error:" in capsys.readouterr().err
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # Start-up cost: the runtime needs numpy and scipy.linalg only.
+def _modules_loaded_by(statement):
+    """Names in ``sys.modules`` after ``statement`` in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(servofunnel.__file__))
-    probe = "import sys, servofunnel; print(*sorted(sys.modules))"
-    loaded = subprocess.run(
+    probe = f"import sys; {statement}; print(*sorted(sys.modules))"
+    return subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # Start-up cost: the runtime needs numpy and scipy.linalg only.
+    loaded = _modules_loaded_by("import servofunnel.cli")
     assert "servofunnel.simulate" in loaded
     for name in ("scipy.interpolate", "scipy.optimize", "scipy.sparse",
                  "scipy.special"):
         assert name not in loaded
+
+
+def test_package_import_loads_only_what_is_asked_for():
+    # The package re-exports nothing: callers import its modules.
+    loaded = _modules_loaded_by("import servofunnel")
+    assert [name for name in loaded if name.startswith("servofunnel.")] == []
+    loaded = _modules_loaded_by("import servofunnel.robot")
+    assert "servofunnel.robot" in loaded
+    assert "servofunnel.cli" not in loaded
 
 
 def test_invert_writes_solution(quick_scenario, tmp_path, capsys):

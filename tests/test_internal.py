@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import homogenized, momentum_row, psi_numpy
-from servofunnel.errors import DenominatorSingular, GramSingular
+from servofunnel.errors import DenominatorSingular, GammaSingular, GramSingular, SingularMatrix
+from servofunnel import internal
 from servofunnel.internal import (
     high_gain,
     linearize,
@@ -14,7 +15,7 @@ from servofunnel.internal import (
     psi,
     robot_internal_rhs,
 )
-from servofunnel.linalg import kernel_basis
+from servofunnel.linalg import kernel_basis, lu_factor_checked
 from servofunnel.model import MbsDims, two_mass_model
 from servofunnel.robot import (
     RobotParams,
@@ -86,6 +87,42 @@ def test_high_gain_rejects_redundant_constraints():
         high_gain(degenerate, q0)
 
 
+def _unit_chain(input_block):
+    """The robot's dimensions with ``M = I``, ``G = [e1; e2]``, ``H = [e3;
+    e4]`` and ``input_block`` in rows 3 and 4 of ``B``, so ``Gamma =
+    [[I, 0], [0, input_block]]`` and the Schur complement is
+    ``input_block``."""
+    eye = np.eye(5)
+    b = np.zeros((5, 2))
+    b[2:4] = input_block
+    return dataclasses.replace(
+        robot_model(RobotParams.reference()),
+        mass_matrix=lambda q: eye, holonomic_jacobian=lambda q: eye[:2],
+        output_jacobian=lambda q: eye[2:4], input_map=lambda q: b)
+
+
+def test_high_gain_rejects_a_schur_complement_whose_inverse_is_singular():
+    # The Schur complement has the pivots 1 and 1, so Gamma passes the LU
+    # test; its inverse [[1e7, -2e7 + 2], [-0.5, 1]] has the pivots 1e7
+    # and 1e-7, a ratio of 1e-14.
+    model = _unit_chain([[1.0, 2e7 - 2.0], [0.5, 1e7]])
+    _, _, gamma = internal._assemble(model, np.zeros(5))
+    lu_factor_checked(gamma)
+    with pytest.raises(GammaSingular, match="pivot ratio") as info:
+        high_gain(model, np.zeros(5))
+    assert isinstance(info.value.__cause__, SingularMatrix)
+
+
+def test_high_gain_rejects_a_schur_complement_that_fails_its_cross_check():
+    # Consecutive Fibonacci numbers: determinant 1 and entries near 2e5,
+    # so the block and its inverse pass the LU pivot test (ratios 2.6e-11
+    # and 6.8e-11), but inverting the inverse returns the block with a
+    # defect far above 1e-8 of its largest entry.
+    model = _unit_chain([[196418.0, 121393.0], [121393.0, 75025.0]])
+    with pytest.raises(GammaSingular, match="cross-check defect"):
+        high_gain(model, np.zeros(5))
+
+
 def test_phi2_rows_annihilate_input_and_constraint_columns():
     params = RobotParams.reference()
     model = robot_model(params)
@@ -111,6 +148,13 @@ def test_phi2_rows_unconstrained_chain():
     defect = np.abs(rows @ np.linalg.solve(model.mass_matrix(q),
                                            model.input_map(q))).max()
     assert defect <= 1e-12
+
+
+def test_phi2_rows_rejects_a_zero_high_gain_matrix():
+    # Force on mass 1, output at mass 2: Gamma = H M^-1 B is zero.
+    model, _ = two_mass_model(output_masses=(1,))
+    with pytest.raises(GammaSingular, match="high-gain matrix is singular"):
+        phi2_rows(model, np.zeros(2))
 
 
 def test_phi_tilde_row_is_momentum_row_for_homogeneous_arm():

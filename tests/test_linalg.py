@@ -65,6 +65,11 @@ def test_solve_linear_shape_checks():
         solve_linear(np.eye(3), np.ones(2))
 
 
+def test_solve_linear_rejects_a_1d_matrix():
+    with pytest.raises(ValueError, match="must be 2-dimensional, got shape"):
+        solve_linear(np.ones(3), np.ones(3))
+
+
 def test_solve_linear_rejects_nan_in_matrix():
     a = np.eye(3)
     a[1, 2] = np.nan

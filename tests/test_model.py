@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from oracles import contains
+from servofunnel.errors import SaddleSingular
 from servofunnel.model import (
     SOLVE_TOL,
     MbsDims,
     OperatingSet,
     get_model,
     is_colocated,
+    solve_assembled_saddle,
     two_mass_model,
     validate_model,
 )
@@ -49,6 +51,27 @@ def test_operating_set_rejects_bad_bounds():
         OperatingSet(lower=[0.0], upper=[0.0])
 
 
+def test_operating_set_rejects_bounds_of_unequal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        OperatingSet(lower=[0.0, 0.0], upper=[1.0, 1.0, 1.0])
+
+
+def test_operating_set_stops_when_the_predicate_rejects_every_sample():
+    # 1000 draws per requested sample, then an error; never an endless loop.
+    calls = []
+
+    def reject(q):
+        calls.append(q)
+        if len(calls) > 2000:
+            raise AssertionError("sampling went on past 1000 draws per sample")
+        return False
+
+    box = OperatingSet(lower=[0.0], upper=[1.0], predicate=reject)
+    with pytest.raises(RuntimeError, match="rejects almost all samples"):
+        box.sample(np.random.default_rng(0), 2)
+    assert len(calls) == 2000
+
+
 def test_registry_names():
     for name in ("robot-reference", "robot-simulated", "two-mass-colocated"):
         model, operating_set = get_model(name)
@@ -75,6 +98,11 @@ def test_two_mass_is_colocated():
     assert is_colocated(model, q)
     shifted, _ = two_mass_model(output_masses=(1,))
     assert not is_colocated(shifted, q)
+
+
+def test_two_mass_model_rejects_two_outputs_for_its_one_input():
+    with pytest.raises(ValueError, match="as many outputs as inputs"):
+        two_mass_model(output_masses=(0, 1))
 
 
 def test_validate_model_passes_on_registered_models():
@@ -134,3 +162,16 @@ def test_validate_model_catches_a_set_across_the_high_gain_zero():
     assert not report.passed
     assert report.det_gamma.min() < 0.0 < report.det_gamma.max()
     assert any("changes sign" in msg for msg in report.failures)
+
+
+def test_solve_assembled_saddle_rejects_a_large_residual():
+    # Consecutive Fibonacci numbers make a positive definite mass matrix of
+    # determinant 1 with entries near 2e5.  Its LU passes the pivot test
+    # (ratio 2.6e-11), but a unit force gives a solution near 1e5 whose
+    # residual, about 1e-6, is far above SADDLE_RESIDUAL_RTOL.
+    base, _ = two_mass_model()
+    mass = np.array([[196418.0, 121393.0], [121393.0, 75025.0]])
+    model = dataclasses.replace(base, mass_matrix=lambda q: mass,
+                                forces=lambda q, v: np.array([1.0, 0.0]))
+    with pytest.raises(SaddleSingular, match="saddle solve residual"):
+        solve_assembled_saddle(model, np.zeros(2), np.zeros(2), np.zeros(1), 0.0)

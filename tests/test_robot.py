@@ -126,6 +126,17 @@ def test_index1_solve_rejects_a_singular_mass_block():
         index1_solve(params, q, v, np.zeros(2), BAUMGARTE)
 
 
+def test_index1_solve_rejects_a_large_residual():
+    # With a crank inertia of 1e-10 the (s1, alpha) block at alpha = 0
+    # keeps its second pivot 30 times above the pivot test's bound, but
+    # the cofactor inverse is so ill-conditioned that the saddle residual
+    # reaches about 1e-7, far above SADDLE_RESIDUAL_RTOL.
+    params = dataclasses.replace(RobotParams.reference(), I1=1e-10)
+    with pytest.raises(SaddleSingular, match="saddle solve residual"):
+        index1_solve(params, [0.0, 0.0, 0.0, 0.3, 0.1], [0.0] * 5, [1.0, 0.0],
+                     BAUMGARTE)
+
+
 def test_derived_constants_are_cached_per_instance():
     params = RobotParams.reference()
     assert params.kappa == params.m3 * params.L3 ** 2 / 3.0
@@ -241,6 +252,14 @@ def test_initial_configuration_reference_geometry():
 def test_initial_configuration_infeasible_geometry():
     params = dataclasses.replace(RobotParams.reference(), d=5.0)
     with pytest.raises(InfeasibleGeometry):
+        initial_configuration(params)
+
+
+def test_initial_configuration_rejects_a_right_angle_at_the_rod():
+    # L1^2 = d^2 + (L2 / 2)^2 puts a right angle opposite the crank, so
+    # sin(beta0) is 1 up to rounding; here it rounds to 1 + 2^-52.
+    params = dataclasses.replace(RobotParams.reference(), d=0.3, L2=0.8)
+    with pytest.raises(InfeasibleGeometry, match=r"sin\(beta0\)"):
         initial_configuration(params)
 
 
