@@ -227,7 +227,6 @@ class _Transcription:
         self.grid = np.asarray(grid, dtype=float)
         self.n = dims.n
         self.l = dims.holonomic
-        self.m = dims.inputs
         self.width = 2 * dims.n + dims.holonomic + dims.inputs
         n_pins = len(sel.fixed_start) + len(sel.fixed_end)
         if n_pins != self.width:

@@ -142,54 +142,59 @@ class ReferenceSignal:
 
     The tool tip glides from ``r_start`` to ``r_end`` between ``t_start``
     and ``t_end`` under the smooth timing law and rests outside that
-    window.  Calling the signal returns ``(y_ref, ydot_ref)``: two pairs
-    of Python floats at one time, two arrays over an array of times
-    (``_times``), with the same bits.  A tool-tip target at or beyond the
-    arm radius raises ``OutOfReach`` on either path.  ``t_start >= 0``,
-    as ``reference_internal`` needs it at rest before 0.
+    window.  ``r_start`` and ``t_start`` are class constants: the plant
+    starts at rest in ``robot.initial_state`` at time 0, whose tool tip
+    is ``r_start`` to one ulp on both parameter presets, and the
+    inversion's start pins hold that pose too.  Calling the signal
+    returns ``(y_ref, ydot_ref)``: two pairs of Python floats at one
+    time, two arrays over an array of times (``_times``), with the same
+    bits.  A tool-tip target at or beyond the arm radius raises
+    ``OutOfReach`` on either path.
     """
 
+    r_start = (1.6, -0.6)
+    t_start = 0.0
+
     params: robot_mod.RobotParams
-    r_start: tuple = (1.6, -0.6)
     r_end: tuple = (0.9, -0.9)
-    t_start: float = 0.0
     t_end: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.t_start < self.t_end:
-            raise ValueError(f"need 0 <= t_start < t_end, got {self.t_start}, {self.t_end}")
+        if not self.t_end > 0.0:
+            raise ValueError(f"need t_end > 0, got {self.t_end}")
 
     @cached_property
     def _path(self):
         """``(start1, start2, delta1, delta2)``: the path start and its
         displacement as Python floats, formed once per instance."""
-        start1, start2 = map(float, self.r_start)
+        start1, start2 = self.r_start
         end1, end2 = map(float, self.r_end)
         return start1, start2, end1 - start1, end2 - start2
 
     def __call__(self, t):
         t = _times(t)
         start1, start2, delta1, delta2 = self._path
-        s, sdot, _ = timing_law(t - self.t_start, self.t_end - self.t_start)
+        s, sdot, _ = timing_law(t, self.t_end)
         r1, r2 = start1 + s * delta1, start2 + s * delta2
         rd1, rd2 = sdot * delta1, sdot * delta2
 
         radius = self.params.arm_radius
-        if isinstance(t, float):
-            # robot.output_from_end_effector on one point, then the rates.
+        one = isinstance(t, float)
+        if one:
+            # robot.output_from_end_effector on one point.
             if abs(r2) >= radius:
                 raise OutOfReach(f"|r2| must stay below {radius:.6g}")
             y2 = float(np.arcsin(-r2 / radius))
-            cos_y2 = math.cos(y2)
-            yd2 = -rd2 / (radius * cos_y2)
-            yd1 = rd1 + radius * math.sin(y2) * yd2
-            return (r1 - self.params.d - radius * cos_y2, y2), (yd1, yd2)
-        r_app = robot_mod._stack_last(t.shape, r1, r2)
-        y = robot_mod.output_from_end_effector(self.params, r_app)
-        _, y2 = robot_mod._components(y)
-        yd2 = -rd2 / (radius * np.cos(y2))
-        yd1 = rd1 + radius * np.sin(y2) * yd2
-        return y, robot_mod._stack_last(t.shape, yd1, yd2)
+            cos_y2, sin_y2 = math.cos(y2), math.sin(y2)
+            y = (r1 - self.params.d - radius * cos_y2, y2)
+        else:
+            y = robot_mod.output_from_end_effector(
+                self.params, robot_mod._stack_last(t.shape, r1, r2))
+            _, y2 = robot_mod._components(y)
+            cos_y2, sin_y2 = np.cos(y2), np.sin(y2)
+        yd2 = -rd2 / (radius * cos_y2)
+        yd1 = rd1 + radius * sin_y2 * yd2
+        return y, ((yd1, yd2) if one else robot_mod._stack_last(t.shape, yd1, yd2))
 
 
 @dataclass(frozen=True)
@@ -207,20 +212,20 @@ class ControllerState:
 def reference_internal(lin, ref):
     """Bounded solution of the unstable reference dynamics, as a callable.
 
-    The reference coordinate obeys ``d/dt eta = qtilde eta + ptilde
-    y_ref`` with ``qtilde > 0``; only one initial value keeps it bounded,
-    and forward stepping amplifies any error in it by ``exp(qtilde t)``,
-    which exhausts double precision within a fraction of a second.  This
-    builds the bounded solution in the stable direction instead: backward
-    from the settling value ``-ptilde y_ref(t_end) / qtilde`` with
-    exponentially weighted Simpson cells, tabulated on a
-    ``REFERENCE_GRID_STEP`` grid over ``[0, t_end]`` and joined by cubic
-    Hermite pieces whose node slopes the ODE gives from the table.  Closed
-    forms cover the times outside, at rest.  The callable takes one time
-    (a Python float or ``np.float64``) and returns a Python float, read
-    from the table's lists.
+    The reference coordinate obeys ``d/dt eta = mu_unstable eta + ptilde
+    y_ref`` with ``mu_unstable > 0``; only one initial value keeps it
+    bounded, and forward stepping amplifies any error in it by
+    ``exp(mu_unstable t)``, which exhausts double precision within a
+    fraction of a second.  This builds the bounded solution in the
+    stable direction instead: backward from the settling value ``-ptilde
+    y_ref(t_end) / mu_unstable`` with exponentially weighted Simpson
+    cells, tabulated on a ``REFERENCE_GRID_STEP`` grid over ``[0,
+    t_end]`` and joined by cubic Hermite pieces whose node slopes the ODE
+    gives from the table.  Closed forms cover the times outside, at rest.
+    The callable takes one time (a Python float or ``np.float64``) and
+    returns a Python float, read from the table's lists.
     """
-    mu = lin.qtilde
+    mu = lin.mu_unstable
     t_end = float(ref.t_end)
     n = int(np.ceil(t_end / REFERENCE_GRID_STEP))
     ts = np.linspace(0.0, t_end, n + 1)
@@ -255,14 +260,18 @@ def reference_internal(lin, ref):
 
 @dataclass
 class ControlDiagnostics:
-    """Error chain, gains and funnel margins of one feedback evaluation.
+    """Errors and funnel margins of one feedback evaluation.
 
-    Margins are the gain denominators ``1 - phi^2 e^2`` of each chain
-    (and the bundled ``1 - phi^2 ||ebar||^2``); ``control`` returns
-    diagnostics only when all four lie in ``(0, 1]``.  They are not the
-    report's ``Metrics.min_funnel_margin``, which is ``1 - ||ebar|| /
-    boundary``: near the boundary that one is about half of
-    ``margin_ebar`` (0.035 against 0.069 at the same point).
+    Holds the internal-chain errors ``e10``, ``e11``, ``e12``, the
+    output-chain errors ``e20``, ``e21``, the norm of the bundle ``ebar =
+    (e12, e21)`` and four margins.  Margins are the gain denominators ``1
+    - phi^2 e^2`` of each chain (and the bundled ``1 - phi^2
+    ||ebar||^2``); each gain is ``kappa / margin`` with its chain's
+    ``kappa``, and ``control`` returns diagnostics only when all four lie
+    in ``(0, 1]``.  They are not the report's
+    ``Metrics.min_funnel_margin``, which is ``1 - ||ebar|| / boundary``:
+    near the boundary that one is about half of ``margin_ebar`` (0.035
+    against 0.069 at the same point).
     """
 
     e10: float
@@ -270,16 +279,11 @@ class ControlDiagnostics:
     e12: float
     e20: float
     e21: float
-    k10: float
-    k11: float
-    k20: float
-    kbar: float
     ebar_norm: float
     margin_e10: float
     margin_e11: float
     margin_e20: float
     margin_ebar: float
-    u_fb: tuple
 
 
 def _gain(kappa, margin, label, t):
@@ -311,8 +315,10 @@ def control(t, q, v, state, lin, design, ref, strict=True):
 
     Builds the internal-coordinate error chain (depth two, with surrogate
     derivatives from the linearized internal dynamics) and the output
-    error chain (depth one), bundles their top errors, and returns
-    ``-kbar * ebar`` together with diagnostics.  Each margin is
+    error chain (depth one), bundles their top errors ``ebar = (e12,
+    e21)``, and returns ``-(kappa2 / margin_ebar) * ebar`` together with
+    diagnostics.  The internal chain's surrogate rates use
+    ``mu_unstable``, the rate of the unstable coordinate.  Each margin is
     checked before a gain divides by it, in the order e10, e11, e20,
     ebar; the first one that is not positive raises ``FunnelViolation``
     with the time ``t``.  The time-only inputs are ``control_signals``
@@ -320,22 +326,21 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     levels.  ``strict`` is accepted and ignored: every evaluation is
     strict.
 
-    The whole chain runs on Python floats: the output ``y =
-    robot.output``, its rate ``H v``, ``psi``, and the products with
-    ``ptilde`` and ``k2`` as two-term sums from ``lin.float_entries``;
-    squares are products, so an error too large to square gives an
-    infinite square and a negative margin rather than ``OverflowError``.
-    ``q`` and ``v`` are sequences of floats, numpy arrays included; each
-    entry is converted with ``float``, so no numpy scalar enters the
-    chain.  ``u_fb`` is a pair of Python floats.
+    The whole chain runs on Python floats: the output ``y`` and its rate
+    ``H v``, both from ``robot.output``'s entries, ``psi``, and the
+    products with ``ptilde`` and ``k2`` as two-term sums from
+    ``lin.float_entries``; squares are products, so an error too large to
+    square gives an infinite square and a negative margin rather than
+    ``OverflowError``.  ``q`` and ``v`` are sequences of floats, numpy
+    arrays included; each entry is converted with ``float``, so no numpy
+    scalar enters the chain.  ``u_fb`` is a pair of Python floats.
     """
     params = ref.params
     q = list(map(float, q))
     v = list(map(float, v))
     _, s2, _, beta, gamma = q
-    delta = params.delta
-    y1, y2 = s2, beta + delta * gamma
-    yd1, yd2 = v[1], v[3] + delta * v[4]
+    y1, y2 = robot_mod._output_entries(params, s2, beta, gamma)
+    yd1, yd2 = robot_mod._output_entries(params, v[1], v[3], v[4])
     (yr1, yr2), (ydr1, ydr2), phi0, phi0_dot, bound1, bound2 = control_signals(
         float(t), design, ref)
     (pt1, pt2), (k21, k22), _, _ = lin.float_entries
@@ -344,12 +349,12 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     dy1, dy2 = y1 - yr1, y2 - yr2
     dyd1, dyd2 = yd1 - ydr1, yd2 - ydr2
 
-    qtilde = lin.qtilde
+    mu = lin.mu_unstable
     ptilde_dy = pt1 * dy1 + pt2 * dy2
     e10 = lin.k1 * dpsi
-    e10_d1 = lin.k1 * (qtilde * dpsi + ptilde_dy)
-    e10_d2 = lin.k1 * (qtilde * qtilde * dpsi
-                       + qtilde * ptilde_dy
+    e10_d1 = lin.k1 * (mu * dpsi + ptilde_dy)
+    e10_d2 = lin.k1 * (mu * mu * dpsi
+                       + mu * ptilde_dy
                        + (pt1 * dyd1 + pt2 * dyd2))
 
     phi1 = 1.0 / bound1
@@ -377,12 +382,8 @@ def control(t, q, v, state, lin, design, ref, strict=True):
     gain = -kbar
     u_fb = (gain * e12, gain * e21)
 
-    diag = ControlDiagnostics(
-        e10=e10, e11=e11, e12=e12, e20=e20, e21=e21,
-        k10=k10, k11=k11, k20=k20, kbar=kbar,
-        ebar_norm=ebar_norm,
+    return u_fb, ControlDiagnostics(
+        e10=e10, e11=e11, e12=e12, e20=e20, e21=e21, ebar_norm=ebar_norm,
         margin_e10=margin_e10, margin_e11=margin_e11,
         margin_e20=margin_e20, margin_ebar=margin_ebar,
-        u_fb=u_fb,
     )
-    return u_fb, diag

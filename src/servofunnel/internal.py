@@ -57,24 +57,22 @@ class LinearizedInternalDynamics:
     """Linearized internal dynamics split into stable and unstable parts.
 
     ``eta' = q eta + p1 y + p2 y'`` is the two-point averaged linearization
-    of the closed-form internal dynamics, and ``t`` diagonalizes ``q``
-    with ascending eigenvalues ``(mu_stable, mu_unstable)``.  The unstable
-    coordinate is realized in measurable quantities as ``psi = [0,1] t^-1
-    (p2 y - eta)``; removing the output derivative through ``eta - p2 y``,
-    it satisfies ``psi' = qtilde psi + ptilde y`` along the linearized
-    flow, with ``qtilde = mu_unstable`` and ``ptilde = -[0,1] t^-1 (p1 +
-    q p2)``.  ``k1``, ``k2`` weight the unstable coordinate and the
-    outputs in the derived tracking errors.
+    of the closed-form internal dynamics, and ``t = tinv^-1`` diagonalizes
+    ``q`` with ascending eigenvalues ``(mu_stable, mu_unstable)``.  The
+    unstable coordinate is realized in measurable quantities as ``psi =
+    [0,1] tinv (p2 y - eta)``; removing the output derivative through
+    ``eta - p2 y``, it satisfies ``psi' = mu_unstable psi + ptilde y``
+    along the linearized flow, with ``ptilde = -[0,1] tinv (p1 + q p2)``.
+    ``k1``, ``k2`` weight the unstable coordinate and the outputs in the
+    derived tracking errors.
     """
 
     q: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
-    t: np.ndarray
     tinv: np.ndarray
     mu_stable: float
     mu_unstable: float
-    qtilde: float
     ptilde: np.ndarray
     k1: float
     k2: np.ndarray
@@ -146,8 +144,6 @@ def phi2_rows(model, q):
     rows, minv_cols, gamma = _assemble(model, q)
     n = rows.shape[1]
     basis = kernel_basis(rows)
-    if basis.shape[1] == 0:
-        return np.zeros((0, n))
     try:
         correction = minv_cols @ solve_linear(gamma, rows)
     except SingularMatrix as exc:
@@ -228,9 +224,8 @@ def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01)):
     tinv = solve_linear(t, np.eye(2))
     ptilde = -(tinv @ p_mat)[1]
     return LinearizedInternalDynamics(
-        q=q_mat, p1=p1, p2=p2, t=t, tinv=tinv,
-        mu_stable=float(mu_stable), mu_unstable=float(mu_unstable),
-        qtilde=float(mu_unstable), ptilde=ptilde,
+        q=q_mat, p1=p1, p2=p2, tinv=tinv,
+        mu_stable=float(mu_stable), mu_unstable=float(mu_unstable), ptilde=ptilde,
         k1=float(k1), k2=np.asarray(k2, dtype=float),
     )
 
@@ -238,7 +233,7 @@ def linearize(params, y0, yf, k1=-0.1, k2=(1.0, 0.01)):
 def psi(q, v, lin, params, y):
     """Measured realization of the unstable internal coordinate at one state.
 
-    Evaluates ``[0, 1] t^-1 (p2 y - (eta1, eta2))`` from the coordinates
+    Evaluates ``[0, 1] tinv (p2 y - (eta1, eta2))`` from the coordinates
     ``q`` and rates ``v`` of one state (1-d arrays or sequences of
     floats) and its output ``y = robot.output(params, q)``, a pair;
     linear in ``v`` for fixed ``q``.  ``eta1`` is the arm angle

@@ -85,10 +85,7 @@ def _canonical_column_signs(v):
     v = v.copy()
     for j in range(v.shape[1]):
         col = v[:, j]
-        scale = np.abs(col).max()
-        if scale == 0.0:
-            continue
-        idx = np.argmax(np.abs(col) >= 1e-8 * scale)
+        idx = np.argmax(np.abs(col) >= 1e-8 * np.abs(col).max())
         if col[idx] < 0.0:
             v[:, j] = -col
     return v

@@ -330,11 +330,17 @@ def _check_pivots(name, entries, *minors):
         previous = minor
 
 
+def _output_entries(p, s2, beta, gamma):
+    """Entries ``(y1, y2)`` of ``y = h(q)``; ``h`` is linear, so at the
+    rates ``(v1, v3, v4)`` they are ``H v``."""
+    return s2, beta + p.delta * gamma
+
+
 def output(params, q):
     """Outputs ``y = (s2, beta + delta * gamma)``."""
     q = np.asarray(q, dtype=float)
     _, s2, _, beta, gamma = _components(q)
-    return _stack_last(q.shape[:-1], s2, beta + params.delta * gamma)
+    return _stack_last(q.shape[:-1], *_output_entries(params, s2, beta, gamma))
 
 
 def output_jacobian(params, q):

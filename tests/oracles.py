@@ -82,8 +82,9 @@ def control_numpy(t, q, v, eta2_ref, lin, design, ref, signals):
     dyd = ydot - ydot_ref
     ptilde_dy = float(lin.ptilde @ dy)
     e10 = lin.k1 * dpsi
-    e10_d1 = lin.k1 * (lin.qtilde * dpsi + ptilde_dy)
-    e10_d2 = lin.k1 * (lin.qtilde ** 2 * dpsi + lin.qtilde * ptilde_dy
+    mu = lin.mu_unstable
+    e10_d1 = lin.k1 * (mu * dpsi + ptilde_dy)
+    e10_d2 = lin.k1 * (mu ** 2 * dpsi + mu * ptilde_dy
                        + float(lin.ptilde @ dyd))
     phi1 = 1.0 / bound1
     phi2 = 1.0 / bound2
@@ -108,7 +109,6 @@ def control_numpy(t, q, v, eta2_ref, lin, design, ref, signals):
     kbar = _gain(design.kappa2, margin_ebar, "ebar", t)
     u_fb = -kbar * ebar
     return u_fb, ControlDiagnostics(
-        e10=e10, e11=e11, e12=e12, e20=e20, e21=e21,
-        k10=k10, k11=k11, k20=k20, kbar=kbar, ebar_norm=ebar_norm,
+        e10=e10, e11=e11, e12=e12, e20=e20, e21=e21, ebar_norm=ebar_norm,
         margin_e10=margin_e10, margin_e11=margin_e11,
-        margin_e20=margin_e20, margin_ebar=margin_ebar, u_fb=u_fb)
+        margin_e20=margin_e20, margin_ebar=margin_ebar)

@@ -234,7 +234,7 @@ def test_robot_preset_pins_one_full_node():
 
 def test_residual_vanishes_on_held_equilibrium():
     """A constant reference held at its equilibrium must be stationary."""
-    constant = ReferenceSignal(PARAMS, r_start=(1.6, -0.6), r_end=(1.6, -0.6))
+    constant = ReferenceSignal(PARAMS, r_end=ReferenceSignal.r_start)
     q0, _ = initial_state(PARAMS)
     grid = np.linspace(-0.5, 2.0, 41)
     node = np.concatenate([q0, np.zeros(5), np.zeros(2), np.zeros(2)])
@@ -246,7 +246,7 @@ def test_residual_vanishes_on_held_equilibrium():
 
 def test_residual_locality_of_an_input_perturbation():
     """Poking one node input only disturbs the two adjacent interval defects."""
-    constant = ReferenceSignal(PARAMS, r_start=(1.6, -0.6), r_end=(1.6, -0.6))
+    constant = ReferenceSignal(PARAMS, r_end=ReferenceSignal.r_start)
     q0, _ = initial_state(PARAMS)
     grid = np.linspace(-0.5, 2.0, 41)
     node = np.concatenate([q0, np.zeros(5), np.zeros(2), np.zeros(2)])

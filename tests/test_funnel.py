@@ -21,7 +21,7 @@ from servofunnel.funnel import (
     timing_law,
 )
 from servofunnel.internal import linearize, psi
-from servofunnel.robot import RobotParams, end_effector, initial_state
+from servofunnel.robot import RobotParams, end_effector, initial_state, output
 from servofunnel.simulate import Scenario, integrate_closed_loop
 
 
@@ -121,9 +121,22 @@ def test_reference_signal_endpoints_and_rest():
 def test_reference_signal_validation():
     params = RobotParams.reference()
     with pytest.raises(ValueError):
-        ReferenceSignal(params, t_start=1.0, t_end=1.0)
+        ReferenceSignal(params, t_end=-0.5)
     with pytest.raises(ValueError):
-        ReferenceSignal(params, t_start=-0.5, t_end=1.0)
+        ReferenceSignal(params, t_end=np.nan)
+
+
+@pytest.mark.parametrize("preset", ["reference", "simulated"])
+def test_reference_starts_at_the_rest_pose(preset):
+    # The path start is a class constant: the tool tip of the rest pose the
+    # plant and the inversion's start pins begin in, at time 0.
+    params = getattr(RobotParams, preset)()
+    q0, _ = initial_state(params)
+    y0 = output(params, q0)
+    assert np.abs(end_effector(params, y0) - ReferenceSignal.r_start).max() <= 1e-15
+    assert np.abs(np.asarray(ReferenceSignal(params)(0.0)[0]) - y0).max() <= 1e-15
+    with pytest.raises(ValueError):
+        ReferenceSignal(params, t_end=0.0)
 
 
 def test_reference_signal_derivatives_match_fd():
@@ -152,9 +165,9 @@ def test_reference_internal_start_value_and_constant_closed_form():
     params, ref, lin = study_setup()
     assert abs(reference_internal(lin, ref)(0.0) - (-6.902914104)) < 1e-6
 
-    constant = ReferenceSignal(params, r_start=(1.2, -0.7), r_end=(1.2, -0.7))
+    constant = ReferenceSignal(params, r_end=ReferenceSignal.r_start)
     ybar = np.asarray(constant(0.3)[0])
-    closed = -float(lin.ptilde @ ybar) / lin.qtilde
+    closed = -float(lin.ptilde @ ybar) / lin.mu_unstable
     value = reference_internal(lin, constant)(0.0)
     assert abs(value - closed) < 1e-7 * abs(closed)
 
@@ -166,7 +179,7 @@ def test_reference_internal_solves_the_unstable_ode():
     ts = np.linspace(0.05, 0.95, 200)
     step = 1e-5
     fd = (table(ts + step) - table(ts - step)) / (2 * step)
-    rhs = lin.qtilde * table(ts) + np.asarray(ref(ts)[0]) @ lin.ptilde
+    rhs = lin.mu_unstable * table(ts) + np.asarray(ref(ts)[0]) @ lin.ptilde
     assert np.abs(fd - rhs).max() < 1e-6
 
     # Bounded despite the positive rate; forward shooting would blow up.
@@ -174,20 +187,20 @@ def test_reference_internal_solves_the_unstable_ode():
     assert np.abs(sweep).max() < 20.0
 
     yf = np.asarray(ref(ref.t_end)[0])
-    tail = -float(lin.ptilde @ yf) / lin.qtilde
+    tail = -float(lin.ptilde @ yf) / lin.mu_unstable
     assert abs(eta_ref(2.0) - tail) < 1e-12
 
     # Closed-form exponential before the motion starts.
     head_y = float(lin.ptilde @ np.asarray(ref(0.0)[0]))
-    grow = np.exp(lin.qtilde * (-0.3))
-    expected = grow * eta_ref(0.0) - head_y * (1.0 - grow) / lin.qtilde
+    grow = np.exp(lin.mu_unstable * (-0.3))
+    expected = grow * eta_ref(0.0) - head_y * (1.0 - grow) / lin.mu_unstable
     assert abs(eta_ref(-0.3) - expected) < 1e-10
 
     # The table matches an independent backward solve from the tail value.
     # Its Simpson cells are off by up to 3.3e-9: their error on the weight
-    # exp(-qtilde s) grows as (qtilde h)^4, with qtilde = 28.4, h = 1e-3.
+    # exp(-mu s) grows as (mu h)^4, with mu = mu_unstable = 28.4, h = 1e-3.
     backward = solve_ivp(
-        lambda t, eta: lin.qtilde * eta + lin.ptilde @ ref(t)[0],
+        lambda t, eta: lin.mu_unstable * eta + lin.ptilde @ ref(t)[0],
         (ref.t_end, 0.0), [tail], method="DOP853", rtol=1e-12, atol=1e-12,
         dense_output=True)
     assert backward.success
@@ -198,7 +211,7 @@ def test_reference_internal_solves_the_unstable_ode():
     nodes = np.linspace(0.0, ref.t_end, round(ref.t_end / REFERENCE_GRID_STEP) + 1)[1:-1]
     step = 1e-6
     rate = (table(nodes + step) - table(nodes - step)) / (2 * step)
-    ode_rate = lin.qtilde * table(nodes) + ref(nodes)[0] @ lin.ptilde
+    ode_rate = lin.mu_unstable * table(nodes) + ref(nodes)[0] @ lin.ptilde
     assert np.abs(rate - ode_rate).max() < 2e-8
 
 
@@ -287,13 +300,9 @@ def test_control_at_start_stays_deep_inside_funnels():
     for margin in (diag.margin_e10, diag.margin_e11,
                    diag.margin_e20, diag.margin_ebar):
         assert 0.0 < margin <= 1.0
-    assert np.array_equal(u_fb, diag.u_fb)
-    assert np.abs(u_fb - (-diag.kbar * np.array([diag.e12, diag.e21]))).max() == 0.0
-    # Gain identities of the error chain.
-    assert abs(diag.k10 - design.kappa0 / diag.margin_e10) < 1e-15 * diag.k10
-    assert abs(diag.k11 - design.kappa1 / diag.margin_e11) < 1e-15 * diag.k11
-    assert abs(diag.k20 - design.kappa0 / diag.margin_e20) < 1e-15 * diag.k20
-    assert abs(diag.kbar - design.kappa2 / diag.margin_ebar) < 1e-15 * diag.kbar
+    # The bundled gain is kappa2 / margin_ebar, applied to ebar = (e12, e21).
+    kbar = design.kappa2 / diag.margin_ebar
+    assert np.abs(u_fb - (-kbar * np.array([diag.e12, diag.e21]))).max() == 0.0
     assert abs(diag.ebar_norm - np.hypot(diag.e12, diag.e21)) < 1e-15
 
 
@@ -361,11 +370,12 @@ def test_control_float_chain_matches_the_numpy_formulas(mode):
     for t, q, v in states:
         signals = control_signals(float(t), design, ref)
         eta = float(eta_ref(t))
-        _, diag = control(t, q, v, ControllerState(eta2_ref=eta, eta2_ref0=eta),
-                          lin, design, ref)
-        _, want_diag = control_numpy(t, q, v, eta, lin, design, ref, signals)
-        got.append([getattr(diag, name) for name in names])
-        want.append([getattr(want_diag, name) for name in names])
+        u_fb, diag = control(t, q, v, ControllerState(eta2_ref=eta, eta2_ref0=eta),
+                             lin, design, ref)
+        want_u_fb, want_diag = control_numpy(t, q, v, eta, lin, design, ref, signals)
+        got.append([getattr(diag, name) for name in names] + [u_fb])
+        want.append([getattr(want_diag, name) for name in names] + [want_u_fb])
+    names.append("u_fb")
     for i, name in enumerate(names):
         got_field = np.array([row[i] for row in got])
         want_field = np.array([row[i] for row in want])

@@ -147,6 +147,21 @@ def test_validate_model_names_a_wrong_solve_entry(model_name, part, index, entry
     assert clean == 0.0 if model_name == "two-mass-colocated" else clean <= SOLVE_TOL
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"mass_matrix": lambda q: np.array([[1.0, 0.1], [0.0, 1.5]])},
+     "mass matrix asymmetric by 1.000e-01"),
+    ({"mass_matrix": lambda q: np.diag([1.0, -1.5])},
+     "mass matrix not positive definite"),
+    ({"index1_solve": lambda q, v, u, baumgarte: ([0.0], [])},
+     "index1_solve vdot of shape (1,), not (2,), differs"),
+], ids=["asymmetric-mass", "indefinite-mass", "short-vdot"])
+def test_validate_model_reports_a_broken_mass_matrix_or_solve(change, message):
+    model, operating_set = two_mass_model()
+    report = validate_model(dataclasses.replace(model, **change), operating_set, samples=5)
+    assert not report.passed
+    assert sum(message in msg for msg in report.failures) == 5, report.failures
+
+
 def test_validate_model_catches_a_set_across_the_high_gain_zero():
     """Widen the robot's arm-angle range past the determinant's zero
     ``cos(gamma) = (I3 + m3 X3^2) / (m3 L3 X3)``: the high-gain
