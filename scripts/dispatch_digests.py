@@ -12,8 +12,13 @@ largest relative move of any report metric against the default setting;
 then, per metric, the largest relative move over all settings.  Under the
 default setting it also runs ``invert`` and ``validate --model`` for each
 registered model, each in a child process of its own, and prints the
-sha256 of ``bvp.csv`` and of each ``validate`` stdout.  Together these
-are the digests a change that keeps every output byte must keep.
+sha256 of ``bvp.csv`` and of each ``validate`` stdout.  It also runs
+jobs 0-29 of the benchmark's sweep workload for seeds 1 and 139, each
+through ``perfbench/worker.py`` with tracing and replay off, on the
+inputs and BLAS thread settings of ``perfbench/run.py``; it prints every
+lane that fails, with its job and its error or check text, and the
+sha256 of all 240 lane outcomes.  Together these are the digests a
+change that keeps every output byte must keep.
 
 Run from the repository root:
 
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -47,6 +53,10 @@ CSV_NAMES = ("c1.csv", "c2.csv", "c3.csv")
 
 #: The names ``validate --model`` accepts.
 MODEL_NAMES = ("robot-reference", "robot-simulated", "two-mass-colocated")
+
+#: Sweep jobs ``range(SWEEP_JOBS)`` of each seed give the lane outcomes.
+SWEEP_SEEDS = (1, 139)
+SWEEP_JOBS = 30
 
 #: The child process: print the kernels it runs as one JSON line, then run
 #: the command line given after ``-c``.  The OpenBLAS core name is read from
@@ -116,6 +126,41 @@ def run_validate(model_name):
     return hashlib.sha256(stdout.encode()).hexdigest()
 
 
+def _perfbench_run():
+    """``perfbench/run.py``, imported by path, for its draws and settings."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep_outcomes():
+    """One ``seed S job J lane: outcome`` line per lane of the sweep jobs,
+    each job run by ``perfbench/worker.py`` as the benchmark runs it."""
+    bench = _perfbench_run()
+    env = dict(os.environ, **bench.BLAS_THREADS)
+    env.pop("PYTHONPATH", None)
+    worker = os.path.join(ROOT, "perfbench", "worker.py")
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SWEEP_SEEDS:
+            for job in range(SWEEP_JOBS):
+                out = os.path.join(tmp, f"{seed}-{job}")
+                os.makedirs(out)
+                spec = dict(bench.draw_inputs("sweep", seed, job), root=ROOT, out=out,
+                            workload="sweep", job=job, trace=False, replay=False)
+                child = subprocess.run([sys.executable, worker, json.dumps(spec)],
+                                       env=env, cwd=ROOT, check=True,
+                                       stdout=subprocess.PIPE, text=True)
+                for op in json.loads(child.stdout.splitlines()[-1])["ops"]:
+                    outcome = (f"raised {op['error']}" if op["error"]
+                               else f"failed check: {op['check']}" if op["check"]
+                               else "passed")
+                    lines.append(f"seed {seed} job {job} {op['name']}: {outcome}")
+    return lines
+
+
 def relative_move(value, base):
     if value == base:
         return 0.0
@@ -149,6 +194,13 @@ def main(argv=None):
             print(f"  invert bvp.csv {run_invert(scenario)[:16]}")
             print("  validate " + " ".join(
                 f"{name} {run_validate(name)[:16]}" for name in MODEL_NAMES))
+            lines = sweep_outcomes()
+            failed = [line for line in lines if not line.endswith(": passed")]
+            print(f"  sweep lanes: {len(lines) - len(failed)} of {len(lines)} passed")
+            for line in failed:
+                print(f"    {line}")
+            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            print(f"  sweep lane outcomes {digest[:16]}")
     print("largest relative move per metric, over the settings:")
     for name in base:
         move, label = max((relative_move(run["metrics"][name], base[name]), label)

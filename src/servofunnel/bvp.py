@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
+from . import robot as robot_mod
 from .errors import (
     BadGrid,
     NewtonDiverged,
@@ -78,8 +79,6 @@ def robot_boundary_preset(params):
     both multipliers and both inputs.  The end is a static equilibrium
     with the arm spring unloaded, so both multipliers vanish there.
     """
-    from . import robot as robot_mod
-
     alpha0, beta0 = robot_mod.initial_configuration(params)
     fixed_start = (
         (0, 0.0), (1, 0.0), (2, alpha0), (3, beta0), (4, 0.0),

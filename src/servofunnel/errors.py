@@ -55,7 +55,7 @@ class NewtonDiverged(ServoFunnelError):
 
 
 class BadGrid(ServoFunnelError):
-    """A collocation grid is too coarse or not strictly increasing."""
+    """An inversion window is empty or has too few collocation intervals."""
 
 
 class SaddleSingular(ServoFunnelError):

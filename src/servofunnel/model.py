@@ -11,15 +11,17 @@ as callables.  All callables but one accept arrays with leading batch
 dimensions (coordinates along the last axis) and broadcast; validators
 only use the single-configuration case.  The exception is the one the
 closed loop evaluates at every integrator stage:
-``index1_solve(q, v, u, baumgarte)`` takes one state, ``q`` and ``v``
-of length ``n`` and the input ``u`` of length ``m``, as sequences of
-floats (numpy arrays included), and returns the solution ``(vdot,
-lam)`` of the index-1 saddle system as two lists of Python floats,
+``index1_solve(q, v, u)`` takes one state, ``q`` and ``v`` of length
+``n`` and the input ``u`` of length ``m``, as sequences of floats (numpy
+arrays included), and returns the solution ``(vdot, lam)`` of the
+index-1 saddle system as two lists of Python floats,
 
     [[M, -G^T], [G, 0]] (vdot, lam) = (f + B u, c),
-    c = -Gdot v - 2 baumgarte G v - baumgarte^2 g,
+    c = -Gdot v - 2 b G v - b^2 g,
 
-with ``Gdot`` the time derivative of ``G`` along ``v``.  It raises
+with ``Gdot`` the time derivative of ``G`` along ``v`` and ``b =
+BAUMGARTE``: the Baumgarte stabilization of the index-1 form is part of
+the model statement, so no caller chooses it.  It raises
 ``NonFiniteEvaluation`` for a non-finite state or input and
 ``SaddleSingular`` when the system is numerically singular or its
 residual exceeds ``SADDLE_RESIDUAL_RTOL * max(1, |rhs|)``.
@@ -37,6 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GammaSingular, GramSingular, SaddleSingular, SingularMatrix
+from .internal import high_gain
 from .linalg import fd_jacobian, solve_linear
 
 #: Infinity-norm tolerance on ``H - B^T`` for the colocation test.
@@ -49,6 +52,8 @@ SYMMETRY_TOL = 1e-10
 SOLVE_TOL = 1e-12
 #: Residual bound of a saddle solve, relative to ``max(1, |rhs|)``.
 SADDLE_RESIDUAL_RTOL = 1e-10
+#: Baumgarte constant of both stabilizing terms of ``c`` (time constants 0.05 s).
+BAUMGARTE = 20.0
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,10 @@ class MbsModel:
     ``mass_matrix(q)`` must be symmetric positive definite on the operating
     set; ``holonomic_jacobian`` must be the Jacobian of ``holonomic`` and
     ``output_jacobian`` the Jacobian of ``output``.  ``index1_solve(q,
-    v, u, baumgarte)`` takes one state as sequences of floats and
-    returns its ``(vdot, lam)`` as two lists of floats, the solution of
-    the saddle system ``assemble_saddle`` builds from the other
-    callables; ``validate_model`` checks that it is.
+    v, u)`` takes one state as sequences of floats and returns its
+    ``(vdot, lam)`` as two lists of floats, the solution of the saddle
+    system ``assemble_saddle`` builds from the other callables, with
+    ``BAUMGARTE``; ``validate_model`` checks that it is.
     """
 
     dims: MbsDims
@@ -90,7 +95,7 @@ class MbsModel:
     holonomic_jacobian: Callable   # q -> (l, n)
     holonomic_jacobian_dot: Callable  # q, v -> (l, n)
     input_map: Callable            # q -> (n, m)
-    index1_solve: Callable         # q, v, u, baumgarte -> (vdot, lam) lists
+    index1_solve: Callable         # q, v, u -> (vdot, lam) lists
     output: Callable               # q -> (m,)
     output_jacobian: Callable      # q -> (m, n)
     name: str = "unnamed"
@@ -180,20 +185,15 @@ def validate_model(model, operating_set, samples=100):
     ``holonomic`` and ``output``, and that ``holonomic_jacobian_dot``
     matches the directional derivative of ``holonomic_jacobian``, and
     that ``index1_solve`` agrees with ``solve_assembled_saddle`` at a
-    random input with ``simulate.BAUMGARTE``.  The
-    high-gain matrix ``Gamma`` must be invertible at every sample, with
-    one sign of ``det(Gamma)`` over all of them, so the vector relative
-    degree is well defined on the whole set.  Failures are collected in
+    random input.  The high-gain matrix ``Gamma`` must be invertible at
+    every sample, with one sign of ``det(Gamma)`` over all of them, so
+    the vector relative degree is well defined on the whole set.  Failures are collected in
     the report, not raised.
     """
-    from .internal import high_gain  # local: model -> internal -> robot -> model
-    from .simulate import BAUMGARTE
-
     rng = np.random.default_rng(0)
     qs = operating_set.sample(rng, samples)
     vs = rng.standard_normal(qs.shape)
     us = rng.standard_normal((samples, model.dims.inputs))
-    n = model.dims.n
 
     report = ValidationReport(
         model_name=model.name,
@@ -235,8 +235,8 @@ def validate_model(model, operating_set, samples=100):
             report.jacobian_dot_defect[k] = 0.0
 
         report.solve_defect[k], entry = _solve_defect(
-            model.index1_solve(q, v, us[k], BAUMGARTE),
-            solve_assembled_saddle(model, q, v, us[k], BAUMGARTE))
+            model.index1_solve(q, v, us[k]),
+            solve_assembled_saddle(model, q, v, us[k]))
 
         if report.symmetry_defect[k] > SYMMETRY_TOL:
             report.failures.append(
@@ -273,7 +273,7 @@ def validate_model(model, operating_set, samples=100):
     return report
 
 
-def assemble_saddle(model, q, v, u, baumgarte):
+def assemble_saddle(model, q, v, u):
     """The index-1 saddle system ``(saddle, rhs)`` at one state, from the
     separate callables; see the module docstring for the system."""
     n = model.dims.n
@@ -289,12 +289,12 @@ def assemble_saddle(model, q, v, u, baumgarte):
     saddle[n:, :n] = jac
     rhs = np.concatenate([
         force + b @ u,
-        -jac_dot @ v - 2.0 * baumgarte * jac @ v - baumgarte ** 2 * closure,
+        -jac_dot @ v - 2.0 * BAUMGARTE * jac @ v - BAUMGARTE ** 2 * closure,
     ])
     return saddle, rhs
 
 
-def solve_assembled_saddle(model, q, v, u, baumgarte):
+def solve_assembled_saddle(model, q, v, u):
     """``(vdot, lam)`` at one state by the checked LU of ``assemble_saddle``.
 
     The generic ``index1_solve``, and the reference ``validate_model``
@@ -303,7 +303,7 @@ def solve_assembled_saddle(model, q, v, u, baumgarte):
     ``SADDLE_RESIDUAL_RTOL * max(1, |rhs|)``, and ``NonFiniteEvaluation``
     when the system is not finite.
     """
-    saddle, rhs = assemble_saddle(model, q, v, u, baumgarte)
+    saddle, rhs = assemble_saddle(model, q, v, u)
     try:
         sol = solve_linear(saddle, rhs)
     except SingularMatrix as exc:
@@ -342,21 +342,17 @@ def is_colocated(model, q):
     return np.abs(h_jac - b.T).max() <= COLOCATION_TOL
 
 
-def two_mass_model(output_masses=(0,)):
+def two_mass_model():
     """Two point masses (1 and 1.5 kg) coupled by one spring-damper
     (40 N/m, 1.2 N s/m), no constraints.
 
-    One force acts on mass 1, and the output is the position of the mass
-    in ``output_masses``; the default (mass 1) is colocated.  Returns
-    ``(model, operating_set)``.
+    One force acts on mass 1, and the output is the position of mass 1,
+    so the model is colocated.  Returns ``(model, operating_set)``.
     """
     n = 2
-    if len(output_masses) != 1:
-        raise ValueError("need as many outputs as inputs for a square system")
     mass = np.diag([1.0, 1.5])
     b = np.array([[1.0], [0.0]])
-    h_jac = np.zeros((1, n))
-    h_jac[0, output_masses[0]] = 1.0
+    h_jac = np.array([[1.0, 0.0]])
 
     def forces(q, v):
         q = np.asarray(q, dtype=float)
@@ -382,14 +378,14 @@ def two_mass_model(output_masses=(0,)):
 
     def output(q):
         q = np.asarray(q, dtype=float)
-        return np.stack([q[..., idx] for idx in output_masses], axis=-1)
+        return q[..., :1].copy()
 
     mass_matrix = batched_const(mass)
     input_map = batched_const(b)
     no_rows = empty_rows(n)
 
-    def index1_solve(q, v, u, baumgarte):
-        vdot, lam = solve_assembled_saddle(model, q, v, u, baumgarte)
+    def index1_solve(q, v, u):
+        vdot, lam = solve_assembled_saddle(model, q, v, u)
         return vdot.tolist(), lam.tolist()
 
     model = MbsModel(
@@ -415,7 +411,7 @@ def get_model(name):
     Registered names: ``robot-reference``, ``robot-simulated``,
     ``two-mass-colocated``.
     """
-    from . import robot  # local import to avoid a cycle
+    from . import robot  # local: robot imports model
 
     if name == "robot-reference":
         params = robot.RobotParams.reference()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleGeometry, NonFiniteEvaluation, OutOfReach, SaddleSingular
 from .linalg import PIVOT_RTOL
-from .model import SADDLE_RESIDUAL_RTOL, MbsDims, MbsModel, OperatingSet
+from .model import BAUMGARTE, SADDLE_RESIDUAL_RTOL, MbsDims, MbsModel, OperatingSet
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def input_map(params, q):
     return b
 
 
-def index1_solve(params, q, v, u, baumgarte):
+def index1_solve(params, q, v, u):
     """Accelerations and multipliers of the index-1 system of ``model.py``
     at one state, by block elimination on Python floats.
 
@@ -248,7 +248,7 @@ def index1_solve(params, q, v, u, baumgarte):
     f0, f1, r3, r4 = _force_entries(p, sa, cb, sg, cbg, gamma, ad, bd, gd)
     r0, r1 = f0 + u0, f1 + u1
     closure0, closure1 = _closure_rows(p, s1, s2, sa, ca, sb, cb)
-    gain, square = 2.0 * baumgarte, baumgarte * baumgarte
+    gain, square = 2.0 * BAUMGARTE, BAUMGARTE * BAUMGARTE
     c0 = (-d02 * (ad * ad) - d03 * (bd * bd)
           - gain * (g02 * ad + g03 * bd - v1) - square * closure0)
     c1 = (-d12 * (ad * ad) - d13 * (bd * bd)
@@ -363,8 +363,7 @@ def robot_model(params):
         holonomic_jacobian=lambda q: loop_closure_jacobian(params, q),
         holonomic_jacobian_dot=lambda q, v: loop_closure_jacobian_dot(params, q, v),
         input_map=lambda q: input_map(params, q),
-        index1_solve=lambda q, v, u, baumgarte: index1_solve(
-            params, q, v, u, baumgarte),
+        index1_solve=lambda q, v, u: index1_solve(params, q, v, u),
         output=lambda q: output(params, q),
         output_jacobian=lambda q: output_jacobian(params, q),
         name="robot",

@@ -1,7 +1,8 @@
 """Closed-loop simulation of the tracking study.
 
-Integrates the constrained robot as an index-1 system (saddle solve with
-Baumgarte stabilization) under one of three controller configurations:
+Integrates the constrained robot as an index-1 system (the model's
+saddle solve, Baumgarte-stabilized with ``model.BAUMGARTE``) under one
+of three controller configurations:
 feedforward plus funnel feedback, funnel feedback alone, or feedforward
 alone.  An embedded Runge-Kutta 4(5) pair with PI step control produces
 the accepted-step time series; its dense output at each step midpoint
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,9 +45,6 @@ OPEN_LOOP_MAX_STEP = 1e-3
 OPEN_LOOP_REL_TOL = 3e-12
 OPEN_LOOP_ABS_TOL = 3e-14
 
-#: Baumgarte constant of both stabilizing terms (time constants 0.05 s).
-BAUMGARTE = 20.0
-
 #: Exact column layout of the emitted time-series CSV.
 CSV_HEADER = ("t,q1,q2,q3,q4,q5,v1,v2,v3,v4,v5,y1,y2,yref1,yref2,"
               "uff1,uff2,ufb1,ufb2,u1,u2,lam1,lam2,"
@@ -61,18 +59,13 @@ def _reference():
 
 
 def index1_accelerations(model, q, v, u):
-    """Accelerations and multipliers of the index-1 reduced dynamics.
+    """``model.index1_solve(q, v, u)``: the accelerations and multipliers
+    of the index-1 dynamics, as two lists of Python floats.
 
-    Solves the saddle system pairing the mass matrix with the constraint
-    Jacobian; the constraint row carries Baumgarte feedback so position
-    and velocity drift decay instead of accumulating.  One
-    ``model.index1_solve`` call with ``BAUMGARTE`` takes ``q``, ``v``
-    and ``u`` as sequences of floats and returns ``(vdot, lam)`` as two
-    lists of Python floats; it raises ``SaddleSingular`` when the system
-    is numerically singular and ``NonFiniteEvaluation`` on a non-finite
-    state or input.
+    Every run path solves its saddle through this name, which
+    perfbench's tracer wraps (ROADMAP item 10).
     """
-    return model.index1_solve(q, v, u, BAUMGARTE)
+    return model.index1_solve(q, v, u)
 
 
 @dataclass
@@ -86,14 +79,16 @@ class Scenario:
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = DEFAULT_ABS_TOL
     max_step: float = DEFAULT_MAX_STEP
-    bvp_t0: float = None
-    bvp_tf: float = None
     bvp_n: int = 350
     k1: float = -0.1
     k2: tuple = (1.0, 0.01)
     funnel_design: funnel_mod.FunnelDesign = field(
         default_factory=funnel_mod.FunnelDesign.table_defaults)
     out_dir: str = "out"
+
+    # Not fields: the inversion window is ``bvp.BvpOptions``' default, and
+    # perfbench's worker reads these into it (ROADMAP item 1 part B).
+    bvp_t0 = bvp_tf = None
 
     def validate(self):
         if self.mode not in _MODES:
@@ -103,9 +98,8 @@ class Scenario:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.params not in ("reference", "simulated"):
             raise ConfigError(f"unknown parameter preset {self.params!r}")
-        ends = [t for t in (self.bvp_t0, self.bvp_tf) if t is not None]
         if not np.isfinite([self.rel_tol, self.abs_tol, self.max_step,
-                            self.t_end, self.k1, *self.k2, *ends]).all():
+                            self.t_end, self.k1, *self.k2]).all():
             raise ConfigError("scenario values must be finite")
         if min(self.rel_tol, self.abs_tol, self.max_step) <= 0.0:
             raise ConfigError("integrator tolerances must be positive")
@@ -123,40 +117,49 @@ class Scenario:
             raise ConfigError(f"inversion grid: {exc}") from exc
 
     def bvp_options(self):
-        return bvp_mod.BvpOptions(t_start=self.bvp_t0, t_end=self.bvp_tf,
-                                  intervals=self.bvp_n)
+        return bvp_mod.BvpOptions(intervals=self.bvp_n)
 
 
-_SCALAR_KEYS = {
-    "model": str,
-    "params": str,
-    "t_end": float,
-    "rel_tol": float,
-    "abs_tol": float,
-    "max_step": float,
-    "bvp_T0": float,
-    "bvp_Tf": float,
-    "bvp_N": int,
-    "K1": float,
-    "out_dir": str,
+def _floats(text):
+    return tuple(float(part) for part in text.split(","))
+
+
+#: Scenario key -> (dotted ``Scenario`` attribute it sets, conversion).
+_KEYS = {
+    "model": ("model", str),
+    "params": ("params", str),
+    "t_end": ("t_end", float),
+    "rel_tol": ("rel_tol", float),
+    "abs_tol": ("abs_tol", float),
+    "max_step": ("max_step", float),
+    "bvp_N": ("bvp_n", int),
+    "K1": ("k1", float),
+    "K2": ("k2", _floats),
+    "out_dir": ("out_dir", str),
+    **{f"funnel.{j}.{key}": (f"funnel_design.{attr}", float)
+       for j in range(3)
+       for key, attr in (("p", f"phi{j}.p"), ("q", f"phi{j}.qrate"),
+                         ("r", f"phi{j}.r"), ("kappa", f"kappa{j}"))},
 }
 
-_KEY_TO_FIELD = {
-    "bvp_T0": "bvp_t0",
-    "bvp_Tf": "bvp_tf",
-    "bvp_N": "bvp_n",
-    "K1": "k1",
-}
 
-_FUNNEL_FIELDS = ("p", "q", "r", "kappa")
+def _replaced(obj, attr, value):
+    """``obj`` with the dotted attribute ``attr`` set to ``value``, by
+    ``dataclasses.replace`` at every level, so each level checks itself."""
+    head, _, rest = attr.partition(".")
+    return replace(obj, **{head: _replaced(getattr(obj, head), rest, value)
+                           if rest else value})
 
 
 def parse_scenario(path):
     """Read a line-based ``key = value`` scenario file.
 
-    Unknown keys, malformed values and a missing file all raise
-    ``ConfigError``; funnel entries override the table defaults level by
-    level.
+    Each key of ``_KEYS`` sets one ``Scenario`` attribute as its line
+    is read, starting from the defaults; a funnel entry replaces one
+    value of one level of the funnel design.  A missing file raises
+    ``ConfigError``, and so, naming the line, do an unknown key, a
+    malformed value and a funnel value out of range; ``Scenario.validate``
+    checks the rest once all lines are read.
     """
     try:
         with open(path) as fh:
@@ -165,65 +168,27 @@ def parse_scenario(path):
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
 
     scn = Scenario()
-    funnel_over = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in _SCALAR_KEYS:
-            conv = _SCALAR_KEYS[key]
-            try:
-                parsed = conv(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-            setattr(scn, _KEY_TO_FIELD.get(key, key), parsed)
-        elif key == "K2":
-            parts = [p.strip() for p in value.split(",")]
-            try:
-                scn.k2 = tuple(float(p) for p in parts)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for K2: {value!r}") from exc
-        elif key.startswith("funnel."):
-            parts = key.split(".")
-            if (len(parts) != 3 or parts[1] not in ("0", "1", "2")
-                    or parts[2] not in _FUNNEL_FIELDS):
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                funnel_over[(int(parts[1]), parts[2])] = float(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-
-    if funnel_over:
+        if key not in _KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        attr, conv = _KEYS[key]
         try:
-            scn.funnel_design = _apply_funnel_overrides(scn.funnel_design,
-                                                        funnel_over)
+            parsed = conv(value)
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
+        try:
+            scn = _replaced(scn, attr, parsed)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
     scn.validate()
     return scn
-
-
-def _apply_funnel_overrides(design, overrides):
-    levels = []
-    kappas = []
-    for j, phi in enumerate((design.phi0, design.phi1, design.phi2)):
-        p = overrides.get((j, "p"), phi.p)
-        qrate = overrides.get((j, "q"), phi.qrate)
-        r = overrides.get((j, "r"), phi.r)
-        levels.append(funnel_mod.FunnelFunction(p=p, qrate=qrate, r=r))
-        kappas.append(overrides.get((j, "kappa"),
-                                    getattr(design, f"kappa{j}")))
-    return funnel_mod.FunnelDesign(
-        phi0=levels[0], phi1=levels[1], phi2=levels[2],
-        kappa0=kappas[0], kappa1=kappas[1], kappa2=kappas[2])
 
 
 @dataclass
@@ -504,11 +469,10 @@ _BVP_CACHE = {}
 
 
 def _cached_solution(scn):
-    """``solve_inversion(scn)``, computed once per window and grid."""
-    key = (scn.bvp_t0, scn.bvp_tf, scn.bvp_n)
-    if key not in _BVP_CACHE:
-        _BVP_CACHE[key] = solve_inversion(scn)
-    return _BVP_CACHE[key]
+    """``solve_inversion(scn)``, computed once per grid."""
+    if scn.bvp_n not in _BVP_CACHE:
+        _BVP_CACHE[scn.bvp_n] = solve_inversion(scn)
+    return _BVP_CACHE[scn.bvp_n]
 
 
 def integrate_closed_loop(scn):

@@ -2,8 +2,9 @@
 
 None of these is on a path the library runs: the high-gain determinant's
 closed form, the exact homogeneous-rod parameter set, membership in an
-operating set, the arm joint's momentum row, and the feedback law on
-numpy's batched formulas.
+operating set, the arm joint's momentum row, the feedback law on
+numpy's batched formulas, and the two-mass model with a non-colocated
+output.
 """
 
 from dataclasses import replace
@@ -34,6 +35,16 @@ def homogenized(params):
     determinant assumes these relations.
     """
     return replace(params, X3=params.L3 / 2.0, I3=params.m3 * params.L3 ** 2 / 12.0)
+
+
+def output_at_mass_2(model):
+    """The two-mass ``model`` with its output moved to the position of
+    mass 2, which the force on mass 1 reaches only through the spring:
+    not colocated, and ``Gamma = H M^-1 B`` is zero."""
+    h_jac = np.array([[0.0, 1.0]])
+    return replace(
+        model, output=lambda q: np.asarray(q, dtype=float)[..., 1:].copy(),
+        output_jacobian=lambda q: np.broadcast_to(h_jac, np.shape(q)[:-1] + (1, 2)).copy())
 
 
 def contains(opset, q):

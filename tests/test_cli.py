@@ -50,11 +50,13 @@ def test_simulate_missing_scenario(tmp_path, capsys):
 
 
 def test_simulate_rejects_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("warp_drive = on\n")
-    code = run_cli(["simulate", "--scenario", str(cfg), "--mode", "C3"])
-    assert code == 2
-    assert "unknown key" in capsys.readouterr().err
+    # The inversion window is the inversion's own: no key sets it.
+    for text in ("warp_drive = on\n", "bvp_T0 = -0.5\n", "bvp_Tf = 2.0\n"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code = run_cli(["simulate", "--scenario", str(cfg), "--mode", "C3"])
+        assert code == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("keys", ["bvp_N = 5\n",
@@ -63,12 +65,17 @@ def test_simulate_rejects_unknown_key(tmp_path, capsys):
                                   "bvp_Tf = -1.0\n"])
 @pytest.mark.parametrize("command", [["invert"], ["simulate", "--mode", "C2"]])
 def test_bad_inversion_keys_are_config_errors(tmp_path, capsys, keys, command):
+    # Too few intervals is a bad grid.  No key sets the inversion window,
+    # so a file setting bvp_T0 or bvp_Tf is refused, not run on the
+    # default window.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(keys)
     code = run_cli(command + ["--scenario", str(cfg),
                               "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert ("unknown key" in err) == keys.startswith("bvp_T")
 
 
 @pytest.mark.parametrize("keys", ["t_end = nan\n", "t_end = inf\n",
@@ -109,6 +116,12 @@ def test_package_import_loads_only_what_is_asked_for():
     loaded = _modules_loaded_by("import servofunnel.robot")
     assert "servofunnel.robot" in loaded
     assert "servofunnel.cli" not in loaded
+    # The stabilization constant belongs to the model contract.
+    loaded = _modules_loaded_by(
+        "from servofunnel.model import get_model, validate_model; "
+        "validate_model(*get_model('two-mass-colocated'))")
+    assert "servofunnel.model" in loaded
+    assert "servofunnel.simulate" not in loaded
 
 
 def test_invert_writes_solution(quick_scenario, tmp_path, capsys):

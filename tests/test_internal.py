@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import homogenized, momentum_row, psi_numpy
+from oracles import homogenized, momentum_row, output_at_mass_2, psi_numpy
 from servofunnel.errors import DenominatorSingular, GammaSingular, GramSingular, SingularMatrix
 from servofunnel import internal
 from servofunnel.internal import (
@@ -152,7 +152,7 @@ def test_phi2_rows_unconstrained_chain():
 
 def test_phi2_rows_rejects_a_zero_high_gain_matrix():
     # Force on mass 1, output at mass 2: Gamma = H M^-1 B is zero.
-    model, _ = two_mass_model(output_masses=(1,))
+    model = output_at_mass_2(two_mass_model()[0])
     with pytest.raises(GammaSingular, match="high-gain matrix is singular"):
         phi2_rows(model, np.zeros(2))
 

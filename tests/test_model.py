@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import contains
+from oracles import contains, output_at_mass_2
 from servofunnel.errors import SaddleSingular
 from servofunnel.model import (
     SOLVE_TOL,
@@ -96,13 +96,7 @@ def test_two_mass_is_colocated():
     q = np.array([0.2, -0.1])
     model, _ = two_mass_model()
     assert is_colocated(model, q)
-    shifted, _ = two_mass_model(output_masses=(1,))
-    assert not is_colocated(shifted, q)
-
-
-def test_two_mass_model_rejects_two_outputs_for_its_one_input():
-    with pytest.raises(ValueError, match="as many outputs as inputs"):
-        two_mass_model(output_masses=(0, 1))
+    assert not is_colocated(output_at_mass_2(model), q)
 
 
 def test_validate_model_passes_on_registered_models():
@@ -131,8 +125,8 @@ def test_validate_model_catches_wrong_jacobian():
 def test_validate_model_names_a_wrong_solve_entry(model_name, part, index, entry):
     model, operating_set = get_model(model_name)
 
-    def index1_solve(q, v, u, baumgarte):
-        solution = [term.copy() for term in model.index1_solve(q, v, u, baumgarte)]
+    def index1_solve(q, v, u):
+        solution = [term.copy() for term in model.index1_solve(q, v, u)]
         solution[part][index] += 0.5
         return tuple(solution)
 
@@ -152,7 +146,7 @@ def test_validate_model_names_a_wrong_solve_entry(model_name, part, index, entry
      "mass matrix asymmetric by 1.000e-01"),
     ({"mass_matrix": lambda q: np.diag([1.0, -1.5])},
      "mass matrix not positive definite"),
-    ({"index1_solve": lambda q, v, u, baumgarte: ([0.0], [])},
+    ({"index1_solve": lambda q, v, u: ([0.0], [])},
      "index1_solve vdot of shape (1,), not (2,), differs"),
 ], ids=["asymmetric-mass", "indefinite-mass", "short-vdot"])
 def test_validate_model_reports_a_broken_mass_matrix_or_solve(change, message):
@@ -189,4 +183,4 @@ def test_solve_assembled_saddle_rejects_a_large_residual():
     model = dataclasses.replace(base, mass_matrix=lambda q: mass,
                                 forces=lambda q, v: np.array([1.0, 0.0]))
     with pytest.raises(SaddleSingular, match="saddle solve residual"):
-        solve_assembled_saddle(model, np.zeros(2), np.zeros(2), np.zeros(1), 0.0)
+        solve_assembled_saddle(model, np.zeros(2), np.zeros(2), np.zeros(1))

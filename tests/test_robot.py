@@ -33,7 +33,6 @@ from servofunnel.robot import (
     robot_model,
     robot_operating_set,
 )
-from servofunnel.simulate import BAUMGARTE
 
 
 def sample_configurations(params, count, seed=0):
@@ -98,8 +97,8 @@ def test_index1_solve_agrees_with_the_lu_of_the_assembled_saddle(params):
     vs = rng.normal(size=qs.shape) * 10.0 ** rng.integers(-3, 2, size=(len(qs), 1))
     us = rng.normal(scale=50.0, size=(len(qs), 2))
     for k, (q, v, u) in enumerate(zip(qs, vs, us)):
-        got = [np.asarray(part) for part in index1_solve(params, q, v, u, BAUMGARTE)]
-        want = solve_assembled_saddle(model, q, v, u, BAUMGARTE)
+        got = [np.asarray(part) for part in index1_solve(params, q, v, u)]
+        want = solve_assembled_saddle(model, q, v, u)
         for part, (x, y) in enumerate(zip(got, want)):
             assert x.shape == y.shape, (k, part)
             assert np.abs(x - y).max() <= 1e-13 * max(1.0, np.abs(y).max()), (k, part)
@@ -113,7 +112,7 @@ def test_index1_solve_rejects_a_non_finite_state(part, index, value):
     state = [*initial_state(params), np.zeros(2)]
     state[part][index] = value
     with pytest.raises(NonFiniteEvaluation):
-        index1_solve(params, *state, BAUMGARTE)
+        index1_solve(params, *state)
 
 
 def test_index1_solve_rejects_a_singular_mass_block():
@@ -123,7 +122,7 @@ def test_index1_solve_rejects_a_singular_mass_block():
     q, v = initial_state(params)
     q[2] = 0.0
     with pytest.raises(SaddleSingular, match=r"mass block \(s1, alpha\)"):
-        index1_solve(params, q, v, np.zeros(2), BAUMGARTE)
+        index1_solve(params, q, v, np.zeros(2))
 
 
 def test_index1_solve_rejects_a_large_residual():
@@ -133,8 +132,7 @@ def test_index1_solve_rejects_a_large_residual():
     # reaches about 1e-7, far above SADDLE_RESIDUAL_RTOL.
     params = dataclasses.replace(RobotParams.reference(), I1=1e-10)
     with pytest.raises(SaddleSingular, match="saddle solve residual"):
-        index1_solve(params, [0.0, 0.0, 0.0, 0.3, 0.1], [0.0] * 5, [1.0, 0.0],
-                     BAUMGARTE)
+        index1_solve(params, [0.0, 0.0, 0.0, 0.3, 0.1], [0.0] * 5, [1.0, 0.0])
 
 
 def test_derived_constants_are_cached_per_instance():

@@ -46,10 +46,9 @@ from servofunnel.simulate import (
     TimeSeries,
     _B4_PAIRS,
     _B4_SUM,
-    _FUNNEL_FIELDS,
     _MID_PAIRS,
     _MID_SUM,
-    _SCALAR_KEYS,
+    _KEYS,
     _STAGE_PAIRS,
     _STAGE_SUMS,
     _error_norm,
@@ -127,8 +126,7 @@ def test_accelerations_reject_rank_deficient_constraints():
         holonomic_jacobian_dot=lambda q, v: np.vstack(
             [MODEL.holonomic_jacobian_dot(q, v),
              MODEL.holonomic_jacobian_dot(q, v)[:1]]),
-        index1_solve=lambda q, v, u, baumgarte: solve_assembled_saddle(
-            degenerate, q, v, u, baumgarte),
+        index1_solve=lambda q, v, u: solve_assembled_saddle(degenerate, q, v, u),
     )
     q0, v0 = initial_state(PARAMS)
     with pytest.raises(SaddleSingular):
@@ -376,8 +374,6 @@ def test_scenario_validation():
         Scenario(rel_tol=0.0).validate()
     with pytest.raises(ConfigError):
         Scenario(bvp_n=5).validate()
-    with pytest.raises(ConfigError):
-        Scenario(bvp_t0=1.0, bvp_tf=0.5).validate()
 
 
 def test_parse_scenario_shipped_defaults():
@@ -399,8 +395,9 @@ def test_parse_scenario_shipped_defaults():
 def test_shipped_scenario_names_every_recognized_key(tmp_path):
     # default.cfg lists every key, set or commented out as `# key = value`,
     # and comments out no key the parser has dropped.
-    accepted = set(_SCALAR_KEYS) | {"K2"} | {
-        f"funnel.{level}.{name}" for level in "012" for name in _FUNNEL_FIELDS}
+    accepted = set(_KEYS)
+    assert {f"funnel.{level}.{name}" for level in "012"
+            for name in ("p", "q", "r", "kappa")} <= accepted
     set_keys, commented = set(), {}
     for line in (SCENARIO_DIR / "default.cfg").read_text().splitlines():
         match = re.match(r"#\s*([\w.]+)\s*=\s*(\S+)", line)
@@ -422,7 +419,6 @@ def test_parse_scenario_overrides(tmp_path):
         "# study variant\n"
         "params = reference\n"
         "t_end = 1.5\n"
-        "bvp_T0 = -0.25\n"
         "bvp_N = 80\n"
         "K1 = -0.2\n"
         "K2 = 2, 0.5\n"
@@ -432,7 +428,6 @@ def test_parse_scenario_overrides(tmp_path):
     scn = parse_scenario(cfg)
     assert scn.params == "reference"
     assert scn.t_end == 1.5
-    assert scn.bvp_t0 == -0.25
     assert scn.bvp_n == 80
     assert scn.k1 == -0.2
     assert scn.k2 == (2.0, 0.5)
@@ -470,6 +465,16 @@ def test_parse_scenario_rejects_malformed_input(tmp_path):
     with pytest.raises(ConfigError,
                        match=r"bad_level\.cfg:2: bad value for funnel\.0\.q: 'abc'"):
         parse_scenario(bad_level)
+
+    # An out-of-range funnel value names its line too, and each entry is
+    # checked where it is read, even when a later line sets it again.
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("t_end = 1.0\nfunnel.0.q = -1\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:2: funnel needs"):
+        parse_scenario(bad)
+    bad.write_text("funnel.0.q = -1\nfunnel.0.q = 2\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:1: funnel needs"):
+        parse_scenario(bad)
 
     bad_pair = tmp_path / "bad_pair.cfg"
     bad_pair.write_text("K2 = 1, fast\n")
